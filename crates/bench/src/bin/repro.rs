@@ -79,9 +79,8 @@
 
 use foldic::prelude::*;
 use foldic::{
-    clear_deadline, clear_resource, install_deadline, install_fault_plan, install_resource,
-    parse_bytes, parse_stage_mem, take_fault_log, take_peaks, CheckpointStore, Deadline,
-    DeadlinePolicy, FaultPlan, FaultRecord, FlowStage, ResourcePolicy, RetryPolicy, Watchdog,
+    parse_bytes, parse_stage_mem, CheckpointStore, DeadlinePolicy, FaultPlan, FlowStage,
+    ResourcePolicy, RetryPolicy, RunConfig, RunCtx,
 };
 use foldic_bench::{experiments, Ctx};
 use foldic_obs::json::Json;
@@ -279,9 +278,6 @@ fn main() {
 
     let threads = foldic_exec::resolve_threads(threads);
     let tracing = trace_path.is_some() || events_path.is_some();
-    if profile || manifest_path.is_some() {
-        foldic_exec::profile::set_enabled(true);
-    }
     if tracing {
         foldic_obs::trace::set_enabled(true);
     }
@@ -349,12 +345,12 @@ fn main() {
     manifest
         .config
         .insert("cluster_size".into(), cfg.cluster_size.to_string());
-    if let Some(spec) = &faults_spec {
+    let fault_plan = faults_spec.as_deref().map(|spec| {
         let plan = FaultPlan::parse(spec).unwrap_or_else(|e| usage_err(&format!("--faults: {e}")));
         // canonical spec: the plan participates in manifest comparison
         manifest.config.insert("faults".into(), plan.to_spec());
-        install_fault_plan(plan);
-    }
+        plan
+    });
     if let Some(n) = retries {
         manifest.config.insert("retries".into(), n.to_string());
     }
@@ -374,13 +370,6 @@ fn main() {
             .config
             .insert("stage_timeouts".into(), canonical.join(","));
     }
-    let mut watchdog = None;
-    if !deadline_policy.is_empty() {
-        let token = install_deadline(&deadline_policy);
-        if let Some(overall) = deadline_policy.overall {
-            watchdog = Some(Watchdog::spawn(Deadline::new(overall), token, Some("run")));
-        }
-    }
     let mut resource_policy = ResourcePolicy::default();
     if let Some(bytes) = mem_budget {
         resource_policy.overall = Some(bytes);
@@ -396,9 +385,14 @@ fn main() {
             .config
             .insert("stage_mem".into(), resource_policy.stage_spec());
     }
-    if !resource_policy.is_empty() {
-        install_resource(&resource_policy);
-    }
+    let run_ctx = RunCtx::new(RunConfig {
+        scope: "run",
+        deadline: deadline_policy,
+        faults: fault_plan,
+        memory: resource_policy,
+        profile: profile || manifest_path.is_some(),
+    });
+    let entered = run_ctx.enter();
     // per-experiment wall clocks and pool stats go here — everything in
     // this object may vary across thread counts and is stripped before
     // determinism comparisons
@@ -462,7 +456,7 @@ fn main() {
                 let report = $body;
                 let text = report.to_string();
                 println!("{text}");
-                let stage_report = foldic_exec::profile::take();
+                let stage_report = run_ctx.take_profile();
                 if profile {
                     println!("-- profile: {} --\n{}", $name, stage_report);
                 }
@@ -503,34 +497,27 @@ fn main() {
         std::process::exit(2);
     }
     println!("total wall time {:?}", t0.elapsed());
-    let deadline_tripped = watchdog.is_some_and(Watchdog::disarm);
-    clear_deadline();
-    if !resource_policy.is_empty() {
-        clear_resource();
-    }
-    let (timeout_log, rest): (Vec<FaultRecord>, Vec<FaultRecord>) =
-        take_fault_log().into_iter().partition(|r| r.timed_out);
-    let (mem_log, fault_log): (Vec<FaultRecord>, Vec<FaultRecord>) =
-        rest.into_iter().partition(|r| r.mem_exceeded);
-    if !fault_log.is_empty() {
+    drop(entered);
+    let outcome = run_ctx.finish();
+    if !outcome.faults.is_empty() {
         println!(
             "faults: {} block run(s) recovered or degraded (see report footers)",
-            fault_log.len()
+            outcome.faults.len()
         );
     }
-    if !timeout_log.is_empty() {
+    if !outcome.timeouts.is_empty() {
         println!(
             "timeouts: {} run(s) hit a wall-clock budget and degraded (see report footers)",
-            timeout_log.len()
+            outcome.timeouts.len()
         );
     }
-    if !mem_log.is_empty() {
+    if !outcome.mem_exceeded.is_empty() {
         println!(
             "memory: {} run(s) hit a memory budget and recovered or degraded (see report footers)",
-            mem_log.len()
+            outcome.mem_exceeded.len()
         );
     }
-    if deadline_tripped {
+    if outcome.deadline_tripped {
         println!("deadline: overall budget expired before the run finished");
     }
     if let Some(store) = &ctx.checkpoint {
@@ -555,23 +542,9 @@ fn main() {
     }
     if let Some(path) = manifest_path {
         manifest.config.insert("experiments".into(), ran.join("+"));
-        manifest.faults = fault_log
-            .iter()
-            .map(FaultRecord::to_manifest_entry)
-            .collect();
-        manifest.timeouts = timeout_log
-            .iter()
-            .map(FaultRecord::to_manifest_entry)
-            .collect();
-        manifest.mem_exceeded = mem_log.iter().map(FaultRecord::to_manifest_entry).collect();
-        if !resource_policy.is_empty() {
-            // pay-for-use: peaks are recorded only while a policy is
-            // installed, so flagless manifests stay byte-identical
-            manifest.resources = take_peaks()
-                .into_iter()
-                .map(|(stage, bytes)| (stage.to_string(), bytes))
-                .collect();
-        }
+        // pay-for-use: `resources` is written only under a memory
+        // policy, so flagless manifests stay byte-identical
+        outcome.write_manifest(&mut manifest);
         // Design-database provenance: a snapshot-backed run records the
         // file's digest directly; a generated run streams the pristine
         // design into a temp snapshot with the same canonical meta
@@ -624,7 +597,7 @@ fn main() {
 }
 
 /// One experiment's wall-clock record for the manifest `timing` section.
-fn timing_json(report: &foldic_exec::profile::Report, wall: std::time::Duration) -> Json {
+fn timing_json(report: &foldic_obs::profile::Report, wall: std::time::Duration) -> Json {
     let stages = report
         .stages
         .iter()

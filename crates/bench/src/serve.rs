@@ -11,20 +11,15 @@
 //! same bytes. The e2e gate (`crates/bench/tests/serve_gate.rs`) pins it.
 //!
 //! Serve jobs keep the manifest's `timing` section `Null` and its
-//! `metrics` snapshot empty: both are process-global observations that
-//! would race between concurrent jobs, and both are excluded from
-//! comparison anyway. Deadline-bounded and memory-budgeted jobs ride
-//! process-global layers (`foldic-fault`'s deadline and resource
-//! machinery), so the scheduler dispatches them exclusively; this
-//! runner additionally serializes the install → run → drain → clear
-//! window behind a static mutex so even direct (non-scheduler) use
-//! cannot interleave two installations.
+//! `metrics` snapshot empty: the trace and metrics registries are
+//! process-global, so their observations would mix concurrent jobs, and
+//! both are excluded from comparison anyway. A deadline-bounded or
+//! memory-budgeted job runs under its own [`RunCtx`]: its deadline,
+//! budget, fault log and peaks belong to it alone, so it runs next to
+//! any other job and its provenance is still its own.
 
 use crate::{experiments, Ctx};
-use foldic::{
-    clear_deadline, clear_resource, install_deadline, install_resource, take_fault_log, take_peaks,
-    Deadline, DeadlinePolicy, FaultRecord, ResourcePolicy, Watchdog,
-};
+use foldic::{DeadlinePolicy, FaultRecord, ResourcePolicy, RunConfig, RunCtx};
 use foldic_obs::flight;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
@@ -32,7 +27,6 @@ use foldic_serve::queue::StudyRunner;
 use foldic_serve::JobSpec;
 use foldic_t2::T2Config;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Experiments the daemon serves, in the fixed `repro` run order.
@@ -53,9 +47,6 @@ pub const SERVABLE: &[&str] = &[
     "thermal",
     "ablations",
 ];
-
-/// Guards the process-global deadline window (see module docs).
-static DEADLINE_WINDOW: Mutex<()> = Mutex::new(());
 
 /// Executes `foldic-bench` experiments for the serve scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -150,15 +141,6 @@ impl StudyRunner for BenchRunner {
             return Ok(manifest.to_json_text());
         }
 
-        // Deadline- and budget-bounded jobs both ride process-global
-        // layers, so the scheduler dispatches them exclusively; this
-        // runner additionally serializes the whole install → run →
-        // drain → clear window so even direct (non-scheduler) use
-        // cannot interleave two installations.
-        let window = DEADLINE_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
-        // Drop fault-log residue so this job's fault provenance is its
-        // own (clean unbounded runs never drain the log).
-        let _ = take_fault_log();
         // This thread is the scheduler worker, so records land in the
         // worker's flight ring and a degraded job's status payload
         // carries them as provenance.
@@ -176,39 +158,25 @@ impl StudyRunner for BenchRunner {
             start_fields.push(("mem_budget_bytes".to_owned(), Json::Num(bytes as f64)));
         }
         flight::record("job.start", start_fields);
-        let watchdog = spec.deadline_secs.map(|secs| {
-            let overall = Duration::from_secs_f64(secs);
-            let policy = DeadlinePolicy {
-                overall: Some(overall),
-                ..Default::default()
-            };
-            let token = install_deadline(&policy);
-            Watchdog::spawn(Deadline::new(overall), token, Some("serve"))
-        });
-        if let Some(bytes) = mem_budget {
-            install_resource(&ResourcePolicy {
-                overall: Some(bytes),
+        let run = RunCtx::new(RunConfig {
+            scope: "serve",
+            deadline: DeadlinePolicy {
+                overall: spec.deadline_secs.map(Duration::from_secs_f64),
+                ..DeadlinePolicy::default()
+            },
+            memory: ResourcePolicy {
+                overall: mem_budget,
                 stage_budgets: Vec::new(),
-            });
-        }
-        let caught = foldic_exec::run_caught(std::panic::AssertUnwindSafe(|| {
-            run_experiments(&mut ctx, &resolved.names, &mut manifest);
-        }));
-        if let Some(watchdog) = watchdog {
-            watchdog.disarm();
-            clear_deadline();
-        }
-        let peaks = if mem_budget.is_some() {
-            clear_resource();
-            take_peaks()
-        } else {
-            Vec::new()
+            },
+            ..RunConfig::default()
+        });
+        let caught = {
+            let _entered = run.enter();
+            foldic_exec::run_caught(std::panic::AssertUnwindSafe(|| {
+                run_experiments(&mut ctx, &resolved.names, &mut manifest);
+            }))
         };
-        let (timeouts, rest): (Vec<FaultRecord>, Vec<FaultRecord>) =
-            take_fault_log().into_iter().partition(|r| r.timed_out);
-        let (mem_log, faults): (Vec<FaultRecord>, Vec<FaultRecord>) =
-            rest.into_iter().partition(|r| r.mem_exceeded);
-        drop(window);
+        let outcome = run.finish();
         let flight_fields = |record: &FaultRecord| {
             [
                 ("block".to_owned(), Json::Str(record.block.clone())),
@@ -223,14 +191,14 @@ impl StudyRunner for BenchRunner {
                 ),
             ]
         };
-        for record in &timeouts {
-            flight::record("stage.timeout", flight_fields(record));
-        }
-        for record in &mem_log {
-            flight::record("stage.mem_exceeded", flight_fields(record));
-        }
-        for record in &faults {
-            flight::record("stage.fault", flight_fields(record));
+        for (name, records) in [
+            ("stage.timeout", &outcome.timeouts),
+            ("stage.mem_exceeded", &outcome.mem_exceeded),
+            ("stage.fault", &outcome.faults),
+        ] {
+            for record in records {
+                flight::record(name, flight_fields(record));
+            }
         }
         if let Err(panic) = &caught {
             flight::record(
@@ -239,34 +207,29 @@ impl StudyRunner for BenchRunner {
             );
         }
         let mut end_fields = vec![
-            ("faults".to_owned(), Json::Num(faults.len() as f64)),
+            ("faults".to_owned(), Json::Num(outcome.faults.len() as f64)),
             (
                 "outcome".to_owned(),
                 Json::Str(if caught.is_ok() { "ok" } else { "panicked" }.to_owned()),
             ),
-            ("timeouts".to_owned(), Json::Num(timeouts.len() as f64)),
+            (
+                "timeouts".to_owned(),
+                Json::Num(outcome.timeouts.len() as f64),
+            ),
         ];
         if mem_budget.is_some() {
             // pay-for-use: deadline-only jobs keep their pre-budget
             // flight shape byte-for-byte
-            end_fields.push(("mem_exceeded".to_owned(), Json::Num(mem_log.len() as f64)));
+            end_fields.push((
+                "mem_exceeded".to_owned(),
+                Json::Num(outcome.mem_exceeded.len() as f64),
+            ));
         }
         flight::record("job.end", end_fields);
         caught.map_err(|p| format!("job panicked: {}", p.message()))?;
-        manifest.faults = faults.iter().map(FaultRecord::to_manifest_entry).collect();
-        manifest.timeouts = timeouts
-            .iter()
-            .map(FaultRecord::to_manifest_entry)
-            .collect();
-        manifest.mem_exceeded = mem_log.iter().map(FaultRecord::to_manifest_entry).collect();
-        if mem_budget.is_some() {
-            // pay-for-use: peaks are recorded only while a policy is
-            // installed, so unbudgeted bodies stay byte-identical
-            manifest.resources = peaks
-                .into_iter()
-                .map(|(stage, bytes)| (stage.to_string(), bytes))
-                .collect();
-        }
+        // pay-for-use: `resources` is written only for budgeted runs, so
+        // unbudgeted bodies stay byte-identical
+        outcome.write_manifest(&mut manifest);
         Ok(manifest.to_json_text())
     }
 }
@@ -329,8 +292,7 @@ mod tests {
     fn unbudgeted_run_budgeted_is_plain_run() {
         // With no budget the instrumented path is bypassed entirely, so
         // the body is byte-identical to `run` (pay-for-use). The
-        // budgeted path itself is exercised by the resource gate, where
-        // its process-global layer cannot race sibling unit tests.
+        // budgeted path itself is exercised by the resource gate.
         let runner = BenchRunner;
         let s = spec(&["table1"], "tiny");
         assert_eq!(

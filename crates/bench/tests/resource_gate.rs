@@ -2,21 +2,17 @@
 //! through [`BenchRunner::run_budgeted`] and cost-estimate admission
 //! through the serve scheduler, against the real experiment flow.
 //!
-//! The resource layer is process-global (one installed policy, one
-//! tracking allocator), so every test here serializes behind one mutex:
-//! a budgeted run racing an unbudgeted sibling test would leak scopes
-//! into it and void both results.
+//! A budget lives in its run's context and the tracking allocator counts
+//! only on threads running under it, so these tests run in parallel with
+//! each other and with unbudgeted runs.
 
 use foldic_bench::serve::BenchRunner;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
 use foldic_serve::queue::{JobState, Scheduler, SchedulerConfig, StudyRunner, Submission};
 use foldic_serve::JobSpec;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Serializes the tests in this file (see module docs).
-static SERIAL: Mutex<()> = Mutex::new(());
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -43,7 +39,6 @@ fn modulo_resources(body: &str) -> Json {
 
 #[test]
 fn tight_budget_degrades_with_provenance_and_thread_invariance() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let runner = BenchRunner;
     // 64 KiB is far below every tiny block's working set even after the
     // retry ladder triples it, so every cluster block must degrade to
@@ -92,7 +87,6 @@ fn tight_budget_degrades_with_provenance_and_thread_invariance() {
 
 #[test]
 fn generous_budget_changes_nothing_but_adds_provenance() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let runner = BenchRunner;
     let plain = runner.run(&spec(&["table2"], 7)).expect("unbudgeted run");
     let budgeted = runner
@@ -120,7 +114,6 @@ fn generous_budget_changes_nothing_but_adds_provenance() {
 
 #[test]
 fn scheduler_admission_prices_sheds_and_budgets_real_jobs() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // 5 MiB admits one single-study tiny job (~4 MiB estimate) and
     // classifies a two-study spec oversized — the same geometry the
     // overload harness uses against the daemon.
@@ -192,7 +185,6 @@ fn scheduler_admission_prices_sheds_and_budgets_real_jobs() {
 
 #[test]
 fn unlimited_scheduler_stats_stay_byte_identical() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Pay-for-use at the daemon surface: without --mem-limit, /stats
     // must not grow a resources section and /metrics must not emit the
     // mem families.

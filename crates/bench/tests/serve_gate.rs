@@ -11,6 +11,7 @@ use foldic_bench::serve::BenchRunner;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
 use foldic_serve::client;
+use foldic_serve::queue::StudyRunner;
 use foldic_serve::{JobSpec, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -246,6 +247,12 @@ fn deadline_job_degrades_with_timed_out_provenance_and_skips_the_cache() {
     let (status, doc) = submit(addr, &study);
     assert_eq!(status, 202, "deadline jobs always compute: {doc:?}");
     let id = doc.get("job").and_then(Json::as_f64).unwrap() as u64;
+    // A plain job takes the second worker at the same time; the deadline
+    // binds only its own run.
+    let mut plain = spec(&["table2"]);
+    plain.seed = Some(0x5EED);
+    let (_, plain_doc) = submit(addr, &plain);
+    let plain_id = plain_doc.get("job").and_then(Json::as_f64).unwrap() as u64;
     let body = await_result(addr, id);
     let manifest = RunManifest::parse(&body).unwrap();
     assert_eq!(
@@ -280,6 +287,18 @@ fn deadline_job_degrades_with_timed_out_provenance_and_skips_the_cache() {
             .is_some(),
         "stage.timeout record names its stage: {timed_out:?}"
     );
+
+    // The plain job's provenance is its own: no timeouts, no flight dump,
+    // and the body of a run alone.
+    let plain_body = await_result(addr, plain_id);
+    assert!(RunManifest::parse(&plain_body).unwrap().timeouts.is_empty());
+    let plain_status = client::get(addr, &format!("/jobs/{plain_id}"), TIMEOUT).unwrap();
+    assert!(plain_status
+        .body_json()
+        .unwrap()
+        .get("flight_recorder")
+        .is_none());
+    assert_eq!(plain_body, BenchRunner.run(&plain).unwrap());
 
     // Resubmitting the identical deadline job computes again — deadline
     // results are wall-clock-dependent and must never be cached.

@@ -197,8 +197,8 @@ fn run_scope(style: DesignStyle, dual_vth: bool) -> String {
 /// retries with the attempt counter bumped (callers perturb seeds and
 /// relax configs off it); when every attempt fails — or immediately on a
 /// non-recoverable validation error — the block degrades to analytical
-/// estimates. Fault provenance is pushed to the global fault log and
-/// returned for the run's own `faults` table.
+/// estimates. Fault provenance is pushed to the run context's fault log
+/// and returned for the run's own `faults` table.
 fn run_block_isolated(
     scope: &str,
     block: &mut Block,
@@ -421,8 +421,8 @@ pub fn run_fullchip(
     let bonding = style.bonding();
     let scope = run_scope(style, cfg.dual_vth);
     let mut faults: Vec<FaultRecord> = Vec::new();
-    // the run's cancel token (never cancelled when no deadline policy is
-    // installed): fan-outs stop handing out jobs once it trips, and each
+    // the run's cancel token (never cancelled when the run carries no
+    // deadline policy): fan-outs stop handing out jobs once it trips, and each
     // skipped block degrades to analytical estimates
     let token = run_token();
     let degrade_skipped = |(id, block): (BlockId, &mut Block), faults: &mut Vec<FaultRecord>| {
@@ -467,7 +467,7 @@ pub fn run_fullchip(
             })
             .collect();
         let results = foldic_exec::profile::stage("fold", || {
-            foldic_exec::run_cancellable(cfg.threads, jobs, token.flag(), |_, (id, block)| {
+            foldic_exec::run_cancellable(cfg.threads, jobs, &token, |_, (id, block)| {
                 let key = format!("{scope}/{}", block.name);
                 if let Some(store) = &cfg.checkpoint {
                     if let Some(value) = store.get(&key) {
@@ -568,7 +568,7 @@ pub fn run_fullchip(
         .filter(|(id, _)| !folded_results.contains_key(id))
         .collect();
     let flow_results = foldic_exec::profile::stage("block_flows", || {
-        foldic_exec::run_cancellable(cfg.threads, jobs, token.flag(), |_, (id, block)| {
+        foldic_exec::run_cancellable(cfg.threads, jobs, &token, |_, (id, block)| {
             let key = format!("{scope}/{}", block.name);
             if let Some(store) = &cfg.checkpoint {
                 if let Some(value) = store.get(&key) {

@@ -48,11 +48,9 @@ pub mod render;
 
 pub use flow::{run_block_flow, BlockResult, FlowConfig};
 pub use foldic_fault::{
-    clear_deadline, clear_fault_plan, clear_resource, format_bytes, install_deadline,
-    install_fault_plan, install_resource, parse_bytes, parse_stage_mem, resource_active,
-    take_fault_log, take_peaks, CancelToken, CheckpointStore, Deadline, DeadlinePolicy,
-    Disposition, FaultPlan, FaultRecord, FlowError, FlowStage, ResourcePolicy, RetryPolicy,
-    Watchdog,
+    format_bytes, parse_bytes, parse_stage_mem, CancelToken, CheckpointStore, Deadline,
+    DeadlinePolicy, Disposition, FaultPlan, FaultRecord, FlowError, FlowStage, ResourcePolicy,
+    RetryPolicy, RunConfig, RunCtx, RunOutcome,
 };
 pub use folding::{
     fold_block, fold_candidates, fold_spc_second_level, CandidateRow, FoldAspect, FoldConfig,

@@ -33,12 +33,21 @@
 //! power) in lightweight timers and iteration counters; the pool feeds
 //! queue-depth and steal statistics into the same report. See
 //! [`RunStats`] for the per-run numbers exposed programmatically.
+//!
+//! # Run context
+//!
+//! A fan-out stays inside its run: the pool captures the submitting
+//! thread's `foldic_fault::RunCtx` next to its trace span and re-enters
+//! it on the worker for every job, so deadlines, fault plans, fault
+//! logs, memory budgets and profile reports of concurrent runs never
+//! mix.
 
 pub mod profile;
 
+use foldic_fault::{CancelToken, RunCtx};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -175,21 +184,19 @@ impl<R, I> JobOutcome<R, I> {
 }
 
 /// [`par_map`] with cooperative cancellation: workers observe `cancel`
-/// between jobs — the flag is checked on the worker thread immediately
-/// before each job body — so once it is set, every not-yet-started job
-/// comes back as [`JobOutcome::Skipped`] with its input intact (still in
-/// submission order). In-flight jobs are *not* interrupted; they are
-/// expected to poll the same flag at their own coarse-grained
+/// between jobs — the token is checked on the worker thread immediately
+/// before each job body — so once it is cancelled, every not-yet-started
+/// job comes back as [`JobOutcome::Skipped`] with its input intact
+/// (still in submission order). In-flight jobs are *not* interrupted;
+/// they are expected to poll the same token at their own coarse-grained
 /// checkpoints (see `foldic-fault::deadline`).
 ///
-/// The flag is a plain [`AtomicBool`] rather than a token type so this
-/// crate stays dependency-free; `CancelToken::flag()` hands one over.
 /// The panic contract matches [`par_map`]: every job runs (or is
 /// skipped), then the lowest-index panic is re-raised.
 pub fn run_cancellable<I, R, F>(
     threads: usize,
     items: Vec<I>,
-    cancel: &std::sync::atomic::AtomicBool,
+    cancel: &CancelToken,
     f: F,
 ) -> Vec<JobOutcome<R, I>>
 where
@@ -198,7 +205,7 @@ where
     F: Fn(usize, I) -> R + Sync,
 {
     par_map(threads, items, |index, item| {
-        if cancel.load(Ordering::Relaxed) {
+        if cancel.is_cancelled() {
             JobOutcome::Skipped(item)
         } else {
             JobOutcome::Done(f(index, item))
@@ -255,10 +262,12 @@ where
     }
 
     // Capture the submitting span so jobs on pool workers (whose span
-    // stacks start empty) still attribute to it, and the fan-out
-    // timestamp so each job span carries its queue wait (`wait_us`) —
-    // scheduling delay stays distinguishable from execution time.
+    // stacks start empty) still attribute to it, the submitting run so
+    // jobs stay inside it, and the fan-out timestamp so each job span
+    // carries its queue wait (`wait_us`) — scheduling delay stays
+    // distinguishable from execution time.
     let parent_span = foldic_obs::trace::current_span();
+    let run = RunCtx::current();
     let fanout_ns = foldic_obs::trace::now_ns();
 
     // Per-worker deques, filled round-robin so early jobs start early on
@@ -282,6 +291,7 @@ where
             let steals = &steals;
             let peak_depth = &peak_depth;
             let f = &f;
+            let run = &run;
             scope.spawn(move || loop {
                 // own queue first
                 let mut job = {
@@ -320,6 +330,7 @@ where
                 };
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     foldic_obs::trace::run_with_parent(parent_span, || {
+                        let _run = run.as_ref().map(RunCtx::enter);
                         let _span = foldic_obs::span!(
                             "job",
                             idx = idx,
@@ -363,13 +374,6 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     par_map(threads, items.iter_mut().collect(), f)
-}
-
-/// A monotonically-increasing global counter handed to jobs that need a
-/// cheap unique id without threading state through closures.
-pub fn next_job_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -471,9 +475,9 @@ mod tests {
 
     #[test]
     fn pre_cancelled_run_skips_every_job_in_order() {
-        use std::sync::atomic::AtomicBool;
         for threads in [1, 4] {
-            let cancel = AtomicBool::new(true);
+            let cancel = CancelToken::new();
+            cancel.cancel();
             let out = run_cancellable(threads, (0..12).collect::<Vec<usize>>(), &cancel, |_, x| {
                 x * 2
             });
@@ -486,13 +490,12 @@ mod tests {
 
     #[test]
     fn cancellation_mid_run_skips_the_remaining_jobs() {
-        use std::sync::atomic::AtomicBool;
         // inline (threads=1) runs jobs strictly in order, so cancelling
         // inside job 2 deterministically skips jobs 3 and up
-        let cancel = AtomicBool::new(false);
+        let cancel = CancelToken::new();
         let out = run_cancellable(1, (0..8).collect::<Vec<usize>>(), &cancel, |i, x| {
             if i == 2 {
-                cancel.store(true, Ordering::Relaxed);
+                cancel.cancel();
             }
             x * 10
         });
@@ -509,11 +512,71 @@ mod tests {
 
     #[test]
     fn uncancelled_run_matches_par_map() {
-        use std::sync::atomic::AtomicBool;
-        let cancel = AtomicBool::new(false);
+        let cancel = CancelToken::new();
         let out = run_cancellable(4, (0..32).collect::<Vec<u64>>(), &cancel, |_, x| x + 1);
         let expect: Vec<JobOutcome<u64, u64>> = (0..32).map(|x| JobOutcome::Done(x + 1)).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn concurrent_runs_stay_apart_across_pool_workers() {
+        use foldic_fault::deadline::{poll, stage_scope};
+        use foldic_fault::{
+            log_fault, DeadlinePolicy, Disposition, FaultRecord, FlowStage, RunConfig,
+        };
+        use std::sync::Barrier;
+
+        // Two runs, each on its own thread and fanning out over its own
+        // pool. Run `a` is cancelled between its two fan-outs; run `b`
+        // must not notice, and every record a pool job logs must land in
+        // the run that submitted it.
+        let barrier = Barrier::new(2);
+        let run_one = |name: &'static str, cancel: bool| {
+            let run = RunCtx::new(RunConfig {
+                deadline: DeadlinePolicy {
+                    overall: Some(Duration::from_secs(3600)),
+                    ..DeadlinePolicy::default()
+                },
+                ..RunConfig::default()
+            });
+            let entered = run.enter();
+            let fan_out = || {
+                par_map(4, (0..16).collect::<Vec<u32>>(), |_, i| {
+                    let scope = stage_scope(FlowStage::Place, name, i);
+                    let ok = scope.is_ok() && poll().is_ok();
+                    log_fault(FaultRecord {
+                        scope: name.to_owned(),
+                        block: format!("b{i:02}"),
+                        stage: FlowStage::Place,
+                        attempts: 1,
+                        disposition: Disposition::Recovered,
+                        timed_out: false,
+                        mem_exceeded: false,
+                    });
+                    ok
+                })
+            };
+            assert!(fan_out().into_iter().all(|ok| ok), "{name}: first fan-out");
+            barrier.wait();
+            if cancel {
+                run.token().cancel();
+            }
+            barrier.wait();
+            let second = fan_out();
+            drop(entered);
+            (second, run.finish())
+        };
+        let ((a_second, a), (b_second, b)) = std::thread::scope(|s| {
+            let a = s.spawn(|| run_one("a", true));
+            let b = s.spawn(|| run_one("b", false));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a_second.iter().all(|ok| !ok), "the cancelled run stops");
+        assert!(b_second.iter().all(|ok| *ok), "the other run is untouched");
+        for (name, outcome) in [("a", a), ("b", b)] {
+            assert_eq!(outcome.faults.len(), 32, "{name}: both fan-outs logged");
+            assert!(outcome.faults.iter().all(|r| r.scope == name), "{name}");
+        }
     }
 
     #[test]

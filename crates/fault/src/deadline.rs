@@ -13,10 +13,11 @@
 //!   per net, per solver iteration — never per move);
 //! * a [`Deadline`] is a monotonic-clock budget; stage budgets derive
 //!   from the run's remaining budget via a configurable [`BudgetSplit`]
-//!   unless an explicit per-stage override is installed;
-//! * a [`Watchdog`] thread trips the run token when the overall deadline
-//!   expires (and records a timed-out [`FaultRecord`]), so even a kernel
-//!   between poll points is cancelled at its next checkpoint;
+//!   unless the policy gives an explicit per-stage override;
+//! * a watchdog thread trips the run token when the overall deadline
+//!   expires, so even a kernel between poll points is cancelled at its
+//!   next checkpoint ([`RunCtx::finish`](crate::RunCtx::finish) then
+//!   records the trip as a timed-out [`FaultRecord`](crate::FaultRecord));
 //! * a timed-out stage surfaces as a recoverable
 //!   [`FaultCause::TimedOut`] [`FlowError`], so the existing retry →
 //!   degrade machinery applies unchanged. A retry gets a *larger* share
@@ -27,14 +28,17 @@
 //! cancelled stage discards its partial work entirely (the full-chip
 //! loop restores the pristine block before degrading), so reports stay
 //! byte-identical across thread counts whenever the same set of blocks
-//! times out. Everything is pay-for-use: with no policy installed,
-//! [`poll`] is a single relaxed atomic load.
+//! times out.
+//!
+//! The policy, the token and the watchdog belong to one
+//! [`RunCtx`](crate::RunCtx); the stage scopes below read the calling
+//! thread's context. Everything is pay-for-use: outside a context with a
+//! deadline or memory policy, [`poll`] is a single thread-local read.
 
-use crate::retry::{Disposition, FaultRecord};
 use crate::{FaultCause, FlowError, FlowStage};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A shared cancellation flag. Clones observe the same flag; checking it
@@ -58,12 +62,6 @@ impl CancelToken {
     /// `true` once [`CancelToken::cancel`] has been called on any clone.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
-    }
-
-    /// The raw flag, for handing to `foldic-exec`'s `run_cancellable`
-    /// (which takes a plain `&AtomicBool` to avoid a dependency cycle).
-    pub fn flag(&self) -> &AtomicBool {
-        &self.flag
     }
 }
 
@@ -96,13 +94,6 @@ impl Deadline {
     /// `true` once the budget is spent.
     pub fn expired(&self) -> bool {
         self.remaining().is_zero()
-    }
-
-    /// A child deadline starting now with the given fraction of the
-    /// *remaining* budget (so children derived late get less, never
-    /// more, than what is left).
-    pub fn child(&self, fraction: f64) -> Deadline {
-        Deadline::new(self.remaining().mul_f64(fraction.clamp(0.0, 1.0)))
     }
 }
 
@@ -157,72 +148,10 @@ pub struct DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// `true` when the policy enforces nothing (nothing to install).
+    /// `true` when the policy enforces nothing (a run arms no deadline).
     pub fn is_empty(&self) -> bool {
         self.overall.is_none() && self.stage_budgets.is_empty()
     }
-}
-
-/// Installed (process-global) deadline state.
-struct Active {
-    overall: Option<Deadline>,
-    token: CancelToken,
-    stage_budgets: Vec<(FlowStage, Duration)>,
-    split: BudgetSplit,
-}
-
-static ACTIVE: RwLock<Option<Arc<Active>>> = RwLock::new(None);
-/// `true` while a deadline policy is installed.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Fast-path switch: lets [`poll`] bail with one atomic load when
-/// neither the deadline nor the resource layer is installed (the
-/// pay-for-use contract for hot loops).
-static POLL_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Recomputes the shared poll switch after either layer's
-/// install/clear.
-pub(crate) fn rearm_poll() {
-    POLL_ARMED.store(
-        ENABLED.load(Ordering::Relaxed) || crate::resource::resource_active(),
-        Ordering::Relaxed,
-    );
-}
-
-fn active() -> Option<Arc<Active>> {
-    ACTIVE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-}
-
-/// Installs a deadline policy for the process, anchoring the overall
-/// budget now. Returns the run's [`CancelToken`] (for the watchdog and
-/// for `foldic-exec` fan-outs). Replaces any previous policy.
-pub fn install_deadline(policy: &DeadlinePolicy) -> CancelToken {
-    let token = CancelToken::new();
-    let state = Active {
-        overall: policy.overall.map(Deadline::new),
-        token: token.clone(),
-        stage_budgets: policy.stage_budgets.clone(),
-        split: policy.split.unwrap_or_default(),
-    };
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(state));
-    ENABLED.store(true, Ordering::Relaxed);
-    rearm_poll();
-    token
-}
-
-/// Removes the installed policy; subsequent polls are no-ops.
-pub fn clear_deadline() {
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
-    ENABLED.store(false, Ordering::Relaxed);
-    rearm_poll();
-}
-
-/// `true` while a policy is installed.
-pub fn deadline_active() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 fn never_token() -> &'static CancelToken {
@@ -230,18 +159,25 @@ fn never_token() -> &'static CancelToken {
     NEVER.get_or_init(CancelToken::new)
 }
 
-/// The run's cancel token — the installed one, or a shared token that is
-/// never cancelled, so fan-out call sites need no branching.
+/// The calling thread's run token — its [`RunCtx`](crate::RunCtx)'s, or
+/// a shared token that is never cancelled outside any context, so
+/// fan-out call sites need no branching.
 pub fn run_token() -> CancelToken {
-    active().map_or_else(|| never_token().clone(), |a| a.token.clone())
+    crate::run::with_current(|run| run.token.clone()).unwrap_or_else(|| never_token().clone())
 }
 
-/// `true` when the installed policy carries an *explicit* budget for
-/// `stage`. Chip-level serial stages only opt into a wall-clock scope on
-/// an explicit `--stage-timeout` (a derived share would turn the one
-/// non-retryable stage into a timing-dependent chip failure).
+/// `true` when the current run's deadline policy carries an *explicit*
+/// budget for `stage`. Chip-level serial stages only opt into a
+/// wall-clock scope on an explicit `--stage-timeout` (a derived share
+/// would turn the one non-retryable stage into a timing-dependent chip
+/// failure).
 pub fn has_stage_override(stage: FlowStage) -> bool {
-    active().is_some_and(|a| a.stage_budgets.iter().any(|(s, _)| *s == stage))
+    crate::run::with_current(|run| {
+        run.limits
+            .as_ref()
+            .is_some_and(|l| l.stage_budgets.iter().any(|(s, _)| *s == stage))
+    })
+    .unwrap_or(false)
 }
 
 /// One entry on the calling thread's stage-scope stack.
@@ -290,12 +226,12 @@ fn timed_out(stage: FlowStage, block: &str, msg: impl Into<String>) -> FlowError
 /// check the stage's budget and the run token at the kernel's
 /// coarse-grained checkpoints.
 ///
-/// The effective budget is the explicit per-stage override when one is
-/// installed, otherwise the [`BudgetSplit`] share of the run's remaining
-/// budget; either way it is scaled by `attempt + 1` — a retry gets a
-/// larger share of what is left, not a fresh budget — and clamped to the
-/// overall remaining budget. With no policy installed this is free and
-/// always succeeds.
+/// The effective budget is the explicit per-stage override when the
+/// run's policy has one, otherwise the [`BudgetSplit`] share of the
+/// run's remaining budget; either way it is scaled by `attempt + 1` — a
+/// retry gets a larger share of what is left, not a fresh budget — and
+/// clamped to the overall remaining budget. Outside a context with a
+/// deadline policy this is free and always succeeds.
 ///
 /// # Errors
 ///
@@ -304,43 +240,16 @@ fn timed_out(stage: FlowStage, block: &str, msg: impl Into<String>) -> FlowError
 /// overall deadline has already expired at stage entry, or the stage's
 /// budget works out to zero.
 pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageGuard, FlowError> {
-    let pushed = match active() {
+    let entry = crate::run::with_current(|run| {
+        run.limits
+            .as_ref()
+            .map(|limits| limits.stage_end(&run.token, stage, attempt))
+    })
+    .flatten();
+    let pushed = match entry {
         None => false,
-        Some(active) => {
-            if active.token.is_cancelled() {
-                return Err(timed_out(stage, block, "run cancelled before stage entry"));
-            }
-            let overall_end = active.overall.map(|d| d.expires_at());
-            let now = Instant::now();
-            if overall_end.is_some_and(|end| end <= now) {
-                return Err(timed_out(
-                    stage,
-                    block,
-                    "run deadline expired before stage entry",
-                ));
-            }
-            let scale = attempt.saturating_add(1);
-            let base = active
-                .stage_budgets
-                .iter()
-                .find(|(s, _)| *s == stage)
-                .map(|(_, d)| *d)
-                .or_else(|| {
-                    active
-                        .overall
-                        .map(|d| d.remaining().mul_f64(active.split.fraction(stage)))
-                });
-            let expires_at = match base {
-                Some(budget) => {
-                    let scaled = budget.saturating_mul(scale);
-                    if scaled.is_zero() {
-                        return Err(timed_out(stage, block, "stage budget is zero"));
-                    }
-                    let end = now + scaled;
-                    Some(overall_end.map_or(end, |o| end.min(o)))
-                }
-                None => overall_end,
-            };
+        Some(Err(msg)) => return Err(timed_out(stage, block, msg)),
+        Some(Ok(expires_at)) => {
             SCOPES.with(|s| {
                 s.borrow_mut().push(Scope {
                     stage,
@@ -357,10 +266,48 @@ pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageG
     Ok(StageGuard { pushed, mem_pushed })
 }
 
+impl crate::run::Limits {
+    /// When a stage entered now ends (`None`: no wall-clock bound), or
+    /// why it may not start at all.
+    fn stage_end(
+        &self,
+        token: &CancelToken,
+        stage: FlowStage,
+        attempt: u32,
+    ) -> Result<Option<Instant>, &'static str> {
+        if token.is_cancelled() {
+            return Err("run cancelled before stage entry");
+        }
+        let overall_end = self.overall.map(|d| d.expires_at());
+        let now = Instant::now();
+        if overall_end.is_some_and(|end| end <= now) {
+            return Err("run deadline expired before stage entry");
+        }
+        let base = self
+            .stage_budgets
+            .iter()
+            .find(|(s, _)| *s == stage)
+            .map(|(_, d)| *d)
+            .or_else(|| {
+                self.overall
+                    .map(|d| d.remaining().mul_f64(self.split.fraction(stage)))
+            });
+        let Some(budget) = base else {
+            return Ok(overall_end);
+        };
+        let scaled = budget.saturating_mul(attempt.saturating_add(1));
+        if scaled.is_zero() {
+            return Err("stage budget is zero");
+        }
+        let end = now + scaled;
+        Ok(Some(overall_end.map_or(end, |o| end.min(o))))
+    }
+}
+
 /// The cooperative checkpoint kernels call at coarse-grained intervals
 /// (per temperature step, per net, per solver iteration). Outside any
-/// stage scope — or with no policy installed — this is a no-op costing
-/// one relaxed atomic load.
+/// stage scope — or outside a run context with a deadline or memory
+/// policy — this is a no-op costing one thread-local read.
 ///
 /// # Errors
 ///
@@ -370,7 +317,7 @@ pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageG
 /// [`FaultCause::MemExceeded`](crate::FaultCause::MemExceeded) error
 /// when a scope on this thread breached its memory budget.
 pub fn poll() -> Result<(), FlowError> {
-    if !POLL_ARMED.load(Ordering::Relaxed) {
+    if crate::run::armed() & crate::run::ARM_POLL == 0 {
         return Ok(());
     }
     SCOPES.with(|s| {
@@ -378,10 +325,8 @@ pub fn poll() -> Result<(), FlowError> {
         let Some(top) = scopes.last() else {
             return Ok(());
         };
-        if let Some(active) = active() {
-            if active.token.is_cancelled() {
-                return Err(timed_out(top.stage, &top.block, "run cancelled"));
-            }
+        if crate::run::with_current(|run| run.token.is_cancelled()).unwrap_or(false) {
+            return Err(timed_out(top.stage, &top.block, "run cancelled"));
         }
         if top.expires_at.is_some_and(|end| end <= Instant::now()) {
             return Err(timed_out(top.stage, &top.block, "stage budget exhausted"));
@@ -417,8 +362,7 @@ pub fn poll_unwind() {
 ///
 /// Returns the [`poll`] error that ended the stall.
 pub(crate) fn injected_slow_stall() -> Result<(), FlowError> {
-    let bounded = ENABLED.load(Ordering::Relaxed)
-        && SCOPES.with(|s| s.borrow().last().is_some_and(|sc| sc.expires_at.is_some()));
+    let bounded = SCOPES.with(|s| s.borrow().last().is_some_and(|sc| sc.expires_at.is_some()));
     if !bounded {
         std::thread::sleep(Duration::from_millis(25));
         return Ok(());
@@ -446,74 +390,36 @@ pub fn backoff_wait(backoff: Duration, token: &CancelToken) -> bool {
     }
 }
 
-struct WatchShared {
-    disarmed: Mutex<bool>,
-    wake: Condvar,
-    tripped: AtomicBool,
-}
-
 /// A thread that trips a [`CancelToken`] when a [`Deadline`] expires.
 ///
-/// The thread parks on a condvar so a clean run end wakes and joins it
+/// The thread parks on a channel, so a clean run end wakes and joins it
 /// immediately — [`Watchdog::disarm`] returns as soon as the thread has
 /// exited, regardless of how much budget was left; no thread leaks past
-/// it. On a trip it cancels the token and (when a scope label was given)
-/// records a timed-out [`FaultRecord`] in the process fault log.
-pub struct Watchdog {
-    shared: Arc<WatchShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// it. On a trip it cancels the token; the owning run records the trip.
+pub(crate) struct Watchdog {
+    disarm: Option<mpsc::Sender<()>>,
+    handle: Option<std::thread::JoinHandle<bool>>,
 }
 
 impl Watchdog {
     /// Spawns the watchdog for `deadline`, tripping `token` on expiry.
-    /// `scope` labels the fault record logged on a trip (`None` logs
-    /// nothing — unit tests and embedded uses).
-    pub fn spawn(deadline: Deadline, token: CancelToken, scope: Option<&str>) -> Self {
-        let shared = Arc::new(WatchShared {
-            disarmed: Mutex::new(false),
-            wake: Condvar::new(),
-            tripped: AtomicBool::new(false),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let scope = scope.map(str::to_owned);
+    pub(crate) fn spawn(deadline: Deadline, token: CancelToken) -> Self {
+        let (disarm, wake) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("foldic-watchdog".to_owned())
             .spawn(move || {
-                let mut disarmed = thread_shared
-                    .disarmed
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if *disarmed {
-                        return;
-                    }
-                    let left = deadline.remaining();
-                    if left.is_zero() {
-                        break;
-                    }
-                    disarmed = thread_shared
-                        .wake
-                        .wait_timeout(disarmed, left)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
+                // a message or a dropped sender disarms; only the timeout trips
+                let tripped = matches!(
+                    wake.recv_timeout(deadline.remaining()),
+                    Err(mpsc::RecvTimeoutError::Timeout)
+                );
+                if tripped {
+                    token.cancel();
                 }
-                drop(disarmed);
-                thread_shared.tripped.store(true, Ordering::Relaxed);
-                token.cancel();
-                if let Some(scope) = scope {
-                    crate::retry::log_fault(FaultRecord {
-                        scope,
-                        block: "*".to_owned(),
-                        stage: FlowStage::Job,
-                        attempts: 0,
-                        disposition: Disposition::Degraded,
-                        timed_out: true,
-                        mem_exceeded: false,
-                    });
-                }
+                tripped
             });
         Self {
-            shared,
+            disarm: Some(disarm),
             // A failed spawn leaves a watchdog that never trips; the
             // deadline is then only enforced at stage entries. That is a
             // graceful degradation, not a correctness problem.
@@ -521,28 +427,17 @@ impl Watchdog {
         }
     }
 
-    /// `true` once the deadline expired and the token was tripped.
-    pub fn tripped(&self) -> bool {
-        self.shared.tripped.load(Ordering::Relaxed)
-    }
-
-    fn shut_down(&mut self) {
-        *self
-            .shared
-            .disarmed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = true;
-        self.shared.wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-
     /// Stops the watchdog and joins its thread (returns only after the
     /// thread has exited). Returns whether the deadline tripped first.
-    pub fn disarm(mut self) -> bool {
-        self.shut_down();
-        self.tripped()
+    pub(crate) fn disarm(mut self) -> bool {
+        self.shut_down()
+    }
+
+    fn shut_down(&mut self) -> bool {
+        drop(self.disarm.take());
+        self.handle
+            .take()
+            .is_some_and(|handle| handle.join().unwrap_or(false))
     }
 }
 
@@ -552,21 +447,24 @@ impl Drop for Watchdog {
     }
 }
 
-/// Tests anywhere in this crate that install a process-global policy
-/// (deadline or resource) serialize on this.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static GLOBAL: Mutex<()> = Mutex::new(());
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::take_fault_log;
+    use crate::{RunConfig, RunCtx};
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        test_lock()
+    /// A context carrying `policy`.
+    fn run_with(policy: DeadlinePolicy) -> RunCtx {
+        RunCtx::new(RunConfig {
+            deadline: policy,
+            ..RunConfig::default()
+        })
+    }
+
+    fn stage_budget(stage: FlowStage, budget: Duration) -> RunCtx {
+        run_with(DeadlinePolicy {
+            stage_budgets: vec![(stage, budget)],
+            ..DeadlinePolicy::default()
+        })
     }
 
     #[test]
@@ -575,86 +473,67 @@ mod tests {
         let b = a.clone();
         assert!(!a.is_cancelled() && !b.is_cancelled());
         b.cancel();
-        assert!(a.is_cancelled() && a.flag().load(Ordering::Relaxed));
+        assert!(a.is_cancelled());
     }
 
     #[test]
-    fn deadline_remaining_shrinks_and_child_never_exceeds_parent() {
+    fn deadline_remaining_shrinks() {
         let d = Deadline::new(Duration::from_secs(60));
         assert!(!d.expired());
         assert!(d.remaining() <= Duration::from_secs(60));
-        let child = d.child(0.5);
-        assert!(child.remaining() <= Duration::from_secs(30));
         assert!(Deadline::new(Duration::ZERO).expired());
     }
 
     #[test]
-    fn poll_is_a_no_op_without_policy_or_scope() {
-        let _g = lock();
-        clear_deadline();
-        assert!(poll().is_ok());
-        assert!(!deadline_active());
-        let guard = stage_scope(FlowStage::Place, "b", 0).unwrap();
-        assert!(poll().is_ok());
-        drop(guard);
-    }
-
-    #[test]
     fn stage_scope_errs_when_deadline_already_expired_at_entry() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
+        let run = run_with(DeadlinePolicy {
             overall: Some(Duration::ZERO),
             ..DeadlinePolicy::default()
         });
+        let _e = run.enter();
         let err = stage_scope(FlowStage::Route, "ccx", 0).unwrap_err();
         assert!(matches!(err.cause, FaultCause::TimedOut(_)), "{err}");
         assert_eq!(err.stage, FlowStage::Route);
         assert_eq!(err.block.as_deref(), Some("ccx"));
         assert!(err.recoverable(), "timeouts must take the retry path");
-        clear_deadline();
     }
 
     #[test]
     fn zero_budget_stage_times_out_at_entry() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
-            stage_budgets: vec![(FlowStage::Sta, Duration::ZERO)],
-            ..DeadlinePolicy::default()
-        });
+        let run = stage_budget(FlowStage::Sta, Duration::ZERO);
+        let _e = run.enter();
         let err = stage_scope(FlowStage::Sta, "dec", 2).unwrap_err();
         assert!(matches!(err.cause, FaultCause::TimedOut(_)), "{err}");
         // a stage with no budget of its own is unscoped but still fine
         let guard = stage_scope(FlowStage::Place, "dec", 0).unwrap();
         assert!(poll().is_ok());
         drop(guard);
-        clear_deadline();
     }
 
     #[test]
     fn cancelled_token_fails_scope_entry_and_poll() {
-        let _g = lock();
-        let token = install_deadline(&DeadlinePolicy {
-            stage_budgets: vec![(FlowStage::Opt, Duration::from_secs(3600))],
-            ..DeadlinePolicy::default()
-        });
+        let run = stage_budget(FlowStage::Opt, Duration::from_secs(3600));
+        let _e = run.enter();
         let guard = stage_scope(FlowStage::Opt, "fpu", 0).unwrap();
         assert!(poll().is_ok());
-        token.cancel();
+        run.token().cancel();
         let err = poll().unwrap_err();
         assert!(matches!(err.cause, FaultCause::TimedOut(_)), "{err}");
         drop(guard);
         assert!(stage_scope(FlowStage::Opt, "fpu", 1).is_err());
-        clear_deadline();
+        assert!(run_token().is_cancelled(), "run_token is the context's");
     }
 
     #[test]
     fn retry_scales_the_stage_budget_but_not_past_the_overall() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
+        let run = run_with(DeadlinePolicy {
             overall: Some(Duration::from_secs(3600)),
             stage_budgets: vec![(FlowStage::Route, Duration::from_millis(40))],
             ..DeadlinePolicy::default()
         });
+        let _e = run.enter();
+        assert!(has_stage_override(FlowStage::Route));
+        assert!(!has_stage_override(FlowStage::Floorplan));
         // attempt 2 gets 3 × 40 ms: a 50 ms wait outlives attempt 0's
         // budget but not attempt 2's.
         let g0 = stage_scope(FlowStage::Route, "b", 0).unwrap();
@@ -665,16 +544,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert!(poll().is_ok(), "retry budget is scaled up");
         drop(g2);
-        clear_deadline();
     }
 
     #[test]
     fn poll_unwind_carries_a_typed_payload() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
-            stage_budgets: vec![(FlowStage::Place, Duration::from_millis(1))],
-            ..DeadlinePolicy::default()
-        });
+        let run = stage_budget(FlowStage::Place, Duration::from_millis(1));
+        let _e = run.enter();
         let caught = crate::isolate(|| {
             let _scope = stage_scope(FlowStage::Place, "mcu", 0)?;
             std::thread::sleep(Duration::from_millis(5));
@@ -684,20 +559,15 @@ mod tests {
         let err = caught.unwrap_err();
         assert_eq!(err.stage, FlowStage::Place);
         assert!(matches!(err.cause, FaultCause::TimedOut(_)));
-        clear_deadline();
     }
 
     #[test]
     fn injected_slow_stall_times_out_under_a_bounded_scope() {
-        let _g = lock();
         // no scope: the legacy fixed stall succeeds
-        clear_deadline();
         assert!(injected_slow_stall().is_ok());
         // bounded scope: the stall models a hang and is cancelled
-        install_deadline(&DeadlinePolicy {
-            stage_budgets: vec![(FlowStage::Route, Duration::from_millis(30))],
-            ..DeadlinePolicy::default()
-        });
+        let run = stage_budget(FlowStage::Route, Duration::from_millis(30));
+        let _e = run.enter();
         let scope = stage_scope(FlowStage::Route, "ccx", 0).unwrap();
         let t0 = Instant::now();
         let err = injected_slow_stall().unwrap_err();
@@ -705,7 +575,6 @@ mod tests {
         assert_eq!(err.block.as_deref(), Some("ccx"));
         assert!(t0.elapsed() < Duration::from_secs(5));
         drop(scope);
-        clear_deadline();
     }
 
     #[test]
@@ -726,37 +595,9 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_trips_token_and_logs_on_expiry() {
-        let token = CancelToken::new();
-        let dog = Watchdog::spawn(
-            Deadline::new(Duration::from_millis(10)),
-            token.clone(),
-            Some("wd-test"),
-        );
-        let t0 = Instant::now();
-        while !token.is_cancelled() && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(token.is_cancelled(), "watchdog trips the token");
-        assert!(dog.disarm(), "disarm reports the trip");
-        // the trip logged a timed-out record (other tests share the log)
-        let mine: Vec<FaultRecord> = take_fault_log()
-            .into_iter()
-            .filter(|r| r.scope == "wd-test")
-            .collect();
-        assert_eq!(mine.len(), 1);
-        assert!(mine[0].timed_out);
-        assert_eq!(mine[0].stage, FlowStage::Job);
-    }
-
-    #[test]
     fn clean_shutdown_joins_without_waiting_out_the_deadline() {
         let token = CancelToken::new();
-        let dog = Watchdog::spawn(
-            Deadline::new(Duration::from_secs(3600)),
-            token.clone(),
-            None,
-        );
+        let dog = Watchdog::spawn(Deadline::new(Duration::from_secs(3600)), token.clone());
         let t0 = Instant::now();
         assert!(!dog.disarm(), "clean end: no trip");
         assert!(
@@ -769,7 +610,6 @@ mod tests {
         drop(Watchdog::spawn(
             Deadline::new(Duration::from_secs(3600)),
             CancelToken::new(),
-            None,
         ));
         assert!(t0.elapsed() < Duration::from_secs(5));
     }

@@ -8,15 +8,13 @@
 //! exact retry/degradation behavior.
 //!
 //! Plans come from an explicit spec string (`repro --faults
-//! "route:dec:panic"`) or from a seed ([`FaultPlan::seeded`]) for
-//! randomized-but-reproducible harness sweeps. The active plan is
-//! process-global ([`install_fault_plan`]); flows consult it through
-//! [`fault_point`] at every stage boundary.
+//! "route:dec:panic"`) or are built in code ([`FaultPlan::single`]). A plan belongs to one
+//! [`RunCtx`](crate::RunCtx); flows consult the calling thread's plan
+//! through [`fault_point`] at every stage boundary.
 
 use crate::{FaultCause, FlowError, FlowStage};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::RwLock;
 
 /// Why a fault spec was rejected. Typed (rather than a bare message) so
 /// callers can distinguish operator typos from structural problems and
@@ -240,42 +238,6 @@ impl FaultPlan {
         }
     }
 
-    /// A seeded plan for harness sweeps: picks `count` deterministic
-    /// `(stage, block)` sites out of the cross product via a splitmix64
-    /// stream. The same `(seed, stages, blocks)` always yields the same
-    /// plan.
-    pub fn seeded(
-        seed: u64,
-        count: usize,
-        stages: &[FlowStage],
-        blocks: &[&str],
-        kind: FaultKind,
-    ) -> Self {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut faults = Vec::with_capacity(count);
-        if stages.is_empty() || blocks.is_empty() {
-            return Self { faults };
-        }
-        for _ in 0..count {
-            let s = stages[(next() % stages.len() as u64) as usize];
-            let b = blocks[(next() % blocks.len() as u64) as usize];
-            faults.push(InjectedFault {
-                stage: s,
-                block: b.to_owned(),
-                kind,
-                attempts: None,
-            });
-        }
-        Self { faults }
-    }
-
     /// The fault that fires at `(stage, block, attempt)`, if any. Pure:
     /// same arguments, same answer, on every thread.
     pub fn should_fire(&self, stage: FlowStage, block: &str, attempt: u32) -> Option<FaultKind> {
@@ -302,13 +264,11 @@ impl FaultPlan {
     }
 }
 
-static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
-
 /// Silences the panic hook for panics carrying a typed [`FlowError`]
 /// payload: injected panics unwind through [`crate::isolate`] by design,
 /// so the default hook's backtrace is pure noise (once per attempt).
 /// Every other panic still reaches the previously installed hook.
-fn silence_injected_panics() {
+pub(crate) fn silence_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
@@ -320,25 +280,9 @@ fn silence_injected_panics() {
     });
 }
 
-/// Installs `plan` as the process-global fault plan.
-pub fn install_fault_plan(plan: FaultPlan) {
-    silence_injected_panics();
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-}
-
-/// Removes the active fault plan.
-pub fn clear_fault_plan() {
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// `true` when a fault plan is installed.
-pub fn fault_plan_active() -> bool {
-    PLAN.read().unwrap_or_else(|e| e.into_inner()).is_some()
-}
-
-/// The stage-boundary hook: consults the active plan and, when a site
-/// fires, panics, returns an error, or sleeps according to the injected
-/// kind. A no-op (one relaxed read) when no plan is installed.
+/// The stage-boundary hook: consults the current run's plan and, when a
+/// site fires, panics, returns an error, or sleeps according to the
+/// injected kind. A no-op when the run (or the thread) has no plan.
 ///
 /// # Errors
 ///
@@ -352,23 +296,21 @@ pub fn fault_plan_active() -> bool {
 /// Panics with a [`FlowError`] payload when a `panic`-kind fault fires —
 /// by design; the payload is recovered intact by [`crate::isolate`].
 pub fn fault_point(stage: FlowStage, block: &str, attempt: u32) -> Result<(), FlowError> {
-    let guard = PLAN.read().unwrap_or_else(|e| e.into_inner());
-    let Some(plan) = guard.as_ref() else {
-        return Ok(());
-    };
-    match plan.should_fire(stage, block, attempt) {
+    let fired = crate::run::with_current(|run| {
+        run.plan
+            .as_ref()
+            .and_then(|plan| plan.should_fire(stage, block, attempt))
+    })
+    .flatten();
+    match fired {
         None => Ok(()),
-        Some(FaultKind::Slow) => {
-            drop(guard);
-            crate::deadline::injected_slow_stall()
-        }
+        Some(FaultKind::Slow) => crate::deadline::injected_slow_stall(),
         Some(FaultKind::Error) => Err(FlowError {
             stage,
             block: Some(block.to_owned()),
             cause: FaultCause::Injected(format!("injected error (attempt {attempt})")),
         }),
         Some(FaultKind::Panic) => {
-            drop(guard);
             std::panic::panic_any(FlowError {
                 stage,
                 block: Some(block.to_owned()),
@@ -476,17 +418,5 @@ mod tests {
             );
             assert_eq!(plan.should_fire(FlowStage::Sta, "mcu0", 0), None);
         }
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let stages = [FlowStage::Place, FlowStage::Route, FlowStage::Sta];
-        let blocks = ["a", "b", "c", "d"];
-        let p1 = FaultPlan::seeded(42, 5, &stages, &blocks, FaultKind::Error);
-        let p2 = FaultPlan::seeded(42, 5, &stages, &blocks, FaultKind::Error);
-        assert_eq!(p1, p2);
-        assert_eq!(p1.faults.len(), 5);
-        let p3 = FaultPlan::seeded(43, 5, &stages, &blocks, FaultKind::Error);
-        assert_ne!(p1, p3, "different seeds pick different sites");
     }
 }

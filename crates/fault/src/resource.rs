@@ -7,10 +7,10 @@
 //! deterministically, and pay-for-use:
 //!
 //! * a [`TrackingAlloc`] global allocator keeps a per-thread net
-//!   allocation counter. With no [`ResourcePolicy`] installed the
-//!   counter is off and every allocation pays exactly one relaxed
-//!   atomic load — the same disabled-cost contract as
-//!   [`deadline::poll`](crate::deadline::poll);
+//!   allocation counter. It counts only on threads running under a
+//!   [`RunCtx`](crate::RunCtx) with a [`ResourcePolicy`]; everywhere else
+//!   every allocation pays exactly one thread-local read — the same
+//!   disabled-cost contract as [`deadline::poll`](crate::deadline::poll);
 //! * a [`ResourcePolicy`] carries an overall per-block-job budget
 //!   (`--mem-budget BYTES`) and explicit per-stage budgets
 //!   (`--stage-mem STAGE=BYTES,…`). Budgets are checked at the existing
@@ -21,9 +21,9 @@
 //!   unchanged. A retry gets a *larger* budget (the base budget scaled
 //!   by the attempt number), mirroring how deadline retries get a
 //!   larger share of the remaining time;
-//! * while a policy is installed, every popped scope folds its peak
-//!   into a per-stage registry drained by [`take_peaks`] — the
-//!   manifest's `resources` section.
+//! * under a policy, every popped scope folds its peak into its run's
+//!   per-stage peaks, which [`RunCtx::finish`](crate::RunCtx::finish)
+//!   returns — the manifest's `resources` section.
 //!
 //! # Accounting model and determinism boundary
 //!
@@ -41,32 +41,31 @@
 //! sampled at poll granularity, so budgets need margin and peak metrics
 //! are compared with a relative tolerance, never byte-exactly.
 
+use crate::run::{armed, with_current, ARM_MEM};
 use crate::{FaultCause, FlowError, FlowStage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 
 /// A [`GlobalAlloc`] wrapper over the system allocator that maintains a
-/// per-thread net-allocation counter while a [`ResourcePolicy`] is
-/// installed. Declared as the workspace's `#[global_allocator]` by this
-/// crate; when no policy is installed each allocation pays one relaxed
-/// atomic load and nothing else.
+/// per-thread net-allocation counter while the thread runs under a
+/// memory policy. Declared as the workspace's `#[global_allocator]` by
+/// this crate; elsewhere each allocation pays one thread-local read and
+/// nothing else.
 pub struct TrackingAlloc;
 
 #[global_allocator]
-static GLOBAL_ALLOC: TrackingAlloc = TrackingAlloc;
+static ALLOCATOR: TrackingAlloc = TrackingAlloc;
 
 thread_local! {
-    /// Net bytes allocated minus freed on this thread while tracking was
-    /// enabled. `Cell<i64>` with const init: no lazy allocation, no drop
-    /// registration, safe to touch from inside the allocator.
+    /// Net bytes allocated minus freed on this thread while it ran under
+    /// a memory policy. `Cell<i64>` with const init: no lazy allocation,
+    /// no drop registration, safe to touch from inside the allocator.
     static NET: Cell<i64> = const { Cell::new(0) };
 }
 
 #[inline]
 fn count(delta: i64) {
-    if !MEM_ENABLED.load(Ordering::Relaxed) {
+    if armed() & ARM_MEM == 0 {
         return;
     }
     // try_with: the allocator runs during TLS teardown too.
@@ -119,7 +118,8 @@ pub struct ResourcePolicy {
 }
 
 impl ResourcePolicy {
-    /// `true` when the policy enforces nothing (nothing to install).
+    /// `true` when the policy enforces nothing (a run arms no memory
+    /// tracking).
     pub fn is_empty(&self) -> bool {
         self.overall.is_none() && self.stage_budgets.is_empty()
     }
@@ -134,47 +134,6 @@ impl ResourcePolicy {
             .collect();
         entries.join(",")
     }
-}
-
-static MEM_ACTIVE: RwLock<Option<Arc<ResourcePolicy>>> = RwLock::new(None);
-/// Fast-path switch for the allocator and [`check`]: one relaxed load
-/// when no policy is installed.
-static MEM_ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn mem_active() -> Option<Arc<ResourcePolicy>> {
-    MEM_ACTIVE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-}
-
-/// Installs a resource policy for the process, enabling allocation
-/// tracking and resetting the per-stage peak registry. Replaces any
-/// previous policy. Installing an empty policy still enables tracking
-/// (peaks are then observational only).
-pub fn install_resource(policy: &ResourcePolicy) {
-    {
-        let mut peaks = PEAKS.lock().unwrap_or_else(|e| e.into_inner());
-        *peaks = [0; FlowStage::ALL.len()];
-    }
-    *MEM_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(policy.clone()));
-    MEM_ENABLED.store(true, Ordering::Relaxed);
-    crate::deadline::rearm_poll();
-}
-
-/// Removes the installed policy; allocation tracking stops and
-/// subsequent polls skip the memory check. The peak registry is left in
-/// place for [`take_peaks`].
-pub fn clear_resource() {
-    *MEM_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
-    MEM_ENABLED.store(false, Ordering::Relaxed);
-    crate::deadline::rearm_poll();
-}
-
-/// `true` while a resource policy is installed.
-pub fn resource_active() -> bool {
-    MEM_ENABLED.load(Ordering::Relaxed)
 }
 
 /// One entry on the calling thread's memory-scope stack.
@@ -197,58 +156,52 @@ fn thread_net() -> i64 {
     NET.try_with(Cell::get).unwrap_or(0)
 }
 
-fn stage_index(stage: FlowStage) -> usize {
-    FlowStage::ALL
-        .iter()
-        .position(|s| *s == stage)
-        .unwrap_or(FlowStage::ALL.len() - 1)
-}
-
-/// Per-stage peak net bytes, max-merged as scopes pop. Guards nothing
-/// hot: touched once per scope exit and by [`take_peaks`].
-static PEAKS: Mutex<[i64; FlowStage::ALL.len()]> = Mutex::new([0; FlowStage::ALL.len()]);
-
-fn push_scope(stage: FlowStage, block: &str, budget: Option<u64>) {
+/// Pushes a memory scope on the calling thread when its run has a
+/// memory policy, returning whether it did. `base` picks the scope's
+/// budget from the policy (`None`: observational); it is scaled by
+/// `attempt + 1` — a retry gets a larger budget, mirroring deadline
+/// retries.
+fn push_scope(
+    stage: FlowStage,
+    block: &str,
+    attempt: u32,
+    base: impl FnOnce(&ResourcePolicy) -> Option<u64>,
+) -> bool {
+    let Some(base) = with_current(|run| run.memory.as_ref().map(base)).flatten() else {
+        return false;
+    };
     let start = thread_net();
     MEM_SCOPES.with(|s| {
         s.borrow_mut().push(MemScope {
             stage,
             block: block.to_owned(),
-            budget,
+            budget: base.map(|bytes| bytes.saturating_mul(u64::from(attempt) + 1)),
             start,
             peak: 0,
         })
     });
+    true
 }
 
 fn pop_scope() {
     let net = thread_net();
-    let Some(mut scope) = MEM_SCOPES.with(|s| s.borrow_mut().pop()) else {
+    let Some(scope) = MEM_SCOPES.with(|s| s.borrow_mut().pop()) else {
         return;
     };
-    scope.peak = scope.peak.max(net - scope.start);
-    let mut peaks = PEAKS.lock().unwrap_or_else(|e| e.into_inner());
-    let slot = &mut peaks[stage_index(scope.stage)];
-    *slot = (*slot).max(scope.peak);
+    let peak = scope.peak.max(net - scope.start);
+    with_current(|run| run.fold_peak(scope.stage, peak));
 }
 
-/// Enters a stage memory scope on the calling thread when a policy is
-/// installed; returns whether a scope was pushed (the caller's guard
-/// must pop it). The budget is the explicit per-stage override scaled
-/// by `attempt + 1` — a retry gets a larger budget, mirroring deadline
-/// retries — or observational when the stage has no override. Called by
+/// Enters a stage memory scope on the calling thread when its run has a
+/// memory policy; returns whether a scope was pushed (the caller's guard
+/// must pop it). The budget is the stage's explicit override, or none
+/// (observational). Called by
 /// [`stage_scope`](crate::deadline::stage_scope); never fails.
 pub(crate) fn push_stage(stage: FlowStage, block: &str, attempt: u32) -> bool {
-    let Some(policy) = mem_active() else {
-        return false;
-    };
-    let budget = policy
-        .stage_budgets
-        .iter()
-        .find(|(s, _)| *s == stage)
-        .map(|(_, bytes)| bytes.saturating_mul(u64::from(attempt) + 1));
-    push_scope(stage, block, budget);
-    true
+    push_scope(stage, block, attempt, |policy| {
+        let explicit = policy.stage_budgets.iter().find(|(s, _)| *s == stage);
+        explicit.map(|(_, bytes)| *bytes)
+    })
 }
 
 /// Pops the scope pushed by [`push_stage`] (deadline guard drop path).
@@ -274,16 +227,11 @@ impl Drop for MemGuard {
 /// Enters the whole-block-job memory scope on the calling thread: the
 /// overall `--mem-budget` (scaled by `attempt + 1`) applies to the net
 /// allocation of everything the block's flow does, across all stages.
-/// With no policy installed this is free and pushes nothing.
+/// Outside a run with a memory policy this is free and pushes nothing.
 pub fn job_scope(block: &str, attempt: u32) -> MemGuard {
-    let Some(policy) = mem_active() else {
-        return MemGuard { pushed: false };
-    };
-    let budget = policy
-        .overall
-        .map(|bytes| bytes.saturating_mul(u64::from(attempt) + 1));
-    push_scope(FlowStage::Job, block, budget);
-    MemGuard { pushed: true }
+    MemGuard {
+        pushed: push_scope(FlowStage::Job, block, attempt, |policy| policy.overall),
+    }
 }
 
 /// The memory half of [`poll`](crate::deadline::poll): updates every
@@ -292,7 +240,7 @@ pub fn job_scope(block: &str, attempt: u32) -> MemGuard {
 /// was running when the budget ran out, which is what the retry →
 /// degrade provenance wants).
 pub(crate) fn check() -> Result<(), FlowError> {
-    if !MEM_ENABLED.load(Ordering::Relaxed) {
+    if armed() & ARM_MEM == 0 {
         return Ok(());
     }
     let net = thread_net();
@@ -321,21 +269,6 @@ pub(crate) fn check() -> Result<(), FlowError> {
             )),
         })
     })
-}
-
-/// Drains the per-stage peak registry (resetting it to zero), returning
-/// `(stage, peak_bytes)` for every stage that recorded a positive peak,
-/// in flow order. This is the manifest's `resources` section.
-pub fn take_peaks() -> Vec<(FlowStage, u64)> {
-    let mut peaks = PEAKS.lock().unwrap_or_else(|e| e.into_inner());
-    let taken = std::mem::replace(&mut *peaks, [0; FlowStage::ALL.len()]);
-    drop(peaks);
-    FlowStage::ALL
-        .into_iter()
-        .zip(taken)
-        .filter(|(_, peak)| *peak > 0)
-        .map(|(stage, peak)| (stage, peak as u64))
-        .collect()
 }
 
 /// Parses a byte count with an optional binary suffix: `123` (bytes),
@@ -419,7 +352,8 @@ pub fn parse_stage_mem(spec: &str) -> Result<Vec<(FlowStage, u64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deadline::{poll, stage_scope, test_lock};
+    use crate::deadline::{poll, stage_scope};
+    use crate::{RunConfig, RunCtx};
 
     #[test]
     fn parse_bytes_reads_suffixes_and_rejects_junk() {
@@ -483,23 +417,21 @@ mod tests {
         assert_eq!(policy.stage_spec(), format!("place={}", 64 << 20));
     }
 
-    #[test]
-    fn no_policy_means_free_scopes_and_clean_polls() {
-        let _g = test_lock();
-        clear_resource();
-        assert!(!resource_active());
-        let guard = job_scope("b", 0);
-        assert!(poll().is_ok());
-        drop(guard);
+    /// A context carrying `policy`.
+    fn run_with(overall: Option<u64>, stage_budgets: Vec<(FlowStage, u64)>) -> RunCtx {
+        RunCtx::new(RunConfig {
+            memory: ResourcePolicy {
+                overall,
+                stage_budgets,
+            },
+            ..RunConfig::default()
+        })
     }
 
     #[test]
     fn job_budget_breach_surfaces_as_recoverable_mem_exceeded() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy {
-            overall: Some(64 << 10),
-            stage_budgets: Vec::new(),
-        });
+        let run = run_with(Some(64 << 10), Vec::new());
+        let e = run.enter();
         let guard = job_scope("spc0", 0);
         let hog: Vec<u8> = vec![0; 4 << 20];
         let err = poll().unwrap_err();
@@ -509,17 +441,14 @@ mod tests {
         assert!(err.recoverable(), "mem breaches must take the retry path");
         drop(hog);
         drop(guard);
-        clear_resource();
+        drop(e);
         assert!(poll().is_ok());
     }
 
     #[test]
     fn retry_scales_the_budget_up() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy {
-            overall: Some(64 << 10),
-            stage_budgets: Vec::new(),
-        });
+        let run = run_with(Some(64 << 10), Vec::new());
+        let _e = run.enter();
         // attempt 255 gets 256 x 64 KiB = 16 MiB: a 4 MiB allocation
         // breaches attempt 0's budget but not attempt 255's.
         let guard = job_scope("spc0", 255);
@@ -527,16 +456,12 @@ mod tests {
         assert!(poll().is_ok(), "retry budget is scaled up");
         drop(hog);
         drop(guard);
-        clear_resource();
     }
 
     #[test]
     fn stage_budget_breach_is_attributed_to_the_stage() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy {
-            overall: None,
-            stage_budgets: vec![(FlowStage::Place, 64 << 10)],
-        });
+        let run = run_with(None, vec![(FlowStage::Place, 64 << 10)]);
+        let _e = run.enter();
         let outer = job_scope("dec", 0);
         let scope = stage_scope(FlowStage::Place, "dec", 0).unwrap();
         let hog: Vec<u8> = vec![0; 4 << 20];
@@ -552,15 +477,14 @@ mod tests {
         drop(hog);
         drop(scope);
         drop(outer);
-        clear_resource();
     }
 
     #[test]
-    fn peaks_record_per_stage_and_drain_once() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy::default());
-        let _ = take_peaks();
+    fn peaks_record_per_stage_in_their_own_run() {
+        // a budget no allocation here comes near: peaks are the point
+        let run = run_with(Some(u64::MAX), Vec::new());
         {
+            let _e = run.enter();
             let _job = job_scope("fpu", 0);
             let scope = stage_scope(FlowStage::Sta, "fpu", 0).unwrap();
             let hog: Vec<u8> = vec![0; 2 << 20];
@@ -568,8 +492,7 @@ mod tests {
             drop(hog);
             drop(scope);
         }
-        clear_resource();
-        let peaks = take_peaks();
+        let peaks = run.finish().resources.expect("budgeted runs record peaks");
         let sta = peaks.iter().find(|(s, _)| *s == FlowStage::Sta);
         assert!(
             sta.is_some_and(|(_, peak)| *peak >= (2 << 20)),
@@ -577,6 +500,5 @@ mod tests {
         );
         let job = peaks.iter().find(|(s, _)| *s == FlowStage::Job);
         assert!(job.is_some_and(|(_, peak)| *peak >= (2 << 20)), "{peaks:?}");
-        assert!(take_peaks().is_empty(), "take_peaks drains");
     }
 }

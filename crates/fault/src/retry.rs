@@ -4,7 +4,6 @@ use crate::{FlowError, FlowStage};
 use foldic_obs::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// How often a failing block is retried before it degrades.
@@ -236,19 +235,11 @@ pub fn isolate<R>(f: impl FnOnce() -> Result<R, FlowError>) -> Result<R, FlowErr
     }
 }
 
-static LOG: Mutex<Vec<FaultRecord>> = Mutex::new(Vec::new());
-
-/// Appends a record to the process-global fault log.
+/// Appends a record to the current run's fault log
+/// ([`RunCtx::finish`](crate::RunCtx::finish) drains it). Outside any
+/// run context the record is dropped.
 pub fn log_fault(record: FaultRecord) {
-    LOG.lock().unwrap_or_else(|e| e.into_inner()).push(record);
-}
-
-/// Drains the fault log, sorted into a stable order (scope, block,
-/// stage) so manifests are byte-identical across thread counts.
-pub fn take_fault_log() -> Vec<FaultRecord> {
-    let mut records = std::mem::take(&mut *LOG.lock().unwrap_or_else(|e| e.into_inner()));
-    records.sort();
-    records
+    crate::run::with_current(|run| run.log(record));
 }
 
 #[cfg(test)]
@@ -269,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn records_roundtrip_and_sort_stably() {
+    fn records_roundtrip_and_sort_by_scope_first() {
         let r = FaultRecord {
             scope: "core_cache".into(),
             block: "dec".into(),
@@ -282,23 +273,12 @@ mod tests {
         let back = FaultRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
         assert!(r.to_string().contains("degraded after 3 attempts"));
-
-        log_fault(FaultRecord {
+        // sorting is by (scope, block, stage): the order manifests use
+        let later = FaultRecord {
             scope: "z".into(),
             ..r.clone()
-        });
-        log_fault(r.clone());
-        let drained = take_fault_log();
-        // other tests may have logged concurrently; ours are ordered
-        let mine: Vec<&FaultRecord> = drained
-            .iter()
-            .filter(|x| x.block == "dec" && (x.scope == "core_cache" || x.scope == "z"))
-            .collect();
-        assert_eq!(mine.len(), 2);
-        assert!(mine[0].scope <= mine[1].scope);
-        assert!(take_fault_log()
-            .iter()
-            .all(|x| !(x.block == "dec" && x.scope == "core_cache")));
+        };
+        assert!(r < later);
     }
 
     #[test]

@@ -943,10 +943,13 @@ mod tests {
         d
     }
 
-    fn save_to_vec(d: &Design) -> Vec<u8> {
+    /// Saves through the real writer and hands back the file bytes.
+    /// Each call site passes its own `salt`, so tests running in
+    /// parallel never share (and race on) one temp file.
+    fn save_to_vec(d: &Design, salt: &str) -> Vec<u8> {
         let dir = std::env::temp_dir().join(format!("foldic-db-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.fdb");
+        let path = dir.join(format!("{salt}.fdb"));
         save_design(d, &[("generator", "test"), ("seed", "7")], &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -956,7 +959,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_arrays_and_reports() {
         let d = sample_design();
-        let bytes = save_to_vec(&d);
+        let bytes = save_to_vec(&d, "round_trip");
         let (d2, info) = load_design_bytes(&bytes).unwrap();
         assert_eq!(info.meta.get("generator").map(String::as_str), Some("test"));
         assert_eq!(info.cells, d.total_insts() as u64);
@@ -985,12 +988,12 @@ mod tests {
         assert_eq!(d2.chip_nets().len(), 1);
         assert_eq!(d2.chip_nets()[0].bits, 64);
         // a second save of the loaded design is byte-identical
-        assert_eq!(save_to_vec(&d2), bytes);
+        assert_eq!(save_to_vec(&d2, "round_trip_again"), bytes);
     }
 
     #[test]
     fn truncation_and_magic_are_typed_errors() {
-        let bytes = save_to_vec(&sample_design());
+        let bytes = save_to_vec(&sample_design(), "truncation");
         assert!(matches!(
             load_design_bytes(&bytes[..10]),
             Err(DbError::Truncated)
@@ -1012,7 +1015,7 @@ mod tests {
 
     #[test]
     fn payload_flips_fail_the_section_digest() {
-        let bytes = save_to_vec(&sample_design());
+        let bytes = save_to_vec(&sample_design(), "payload_flips");
         // flip one byte in the middle of the payload
         let mut bad = bytes.clone();
         let mid = bytes.len() / 2;

@@ -25,6 +25,8 @@
 //! 6. **Flight recorder** ([`flight`]): a per-worker ring of recent
 //!    records, dumped as provenance when a job degrades.
 //!
+//! [`profile`] holds the `--profile` report type; each run keeps its own.
+//!
 //! Every hook costs one relaxed atomic load while its layer is disabled
 //! and allocates nothing, so instrumentation stays in release builds.
 
@@ -36,6 +38,7 @@ pub mod json;
 pub mod log;
 pub mod manifest;
 pub mod metrics;
+pub mod profile;
 pub mod trace;
 
 pub use manifest::{compare, CompareConfig, CompareOutcome, RunManifest};

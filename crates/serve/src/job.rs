@@ -31,8 +31,8 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// Worker threads used *inside* the job (output-invariant).
     pub threads: usize,
-    /// Optional wall-clock budget for the job; such jobs ride the
-    /// process-global deadline layer and are scheduled exclusively.
+    /// Optional wall-clock budget for the job, enforced inside the job's
+    /// own run context; such jobs run next to any other.
     pub deadline_secs: Option<f64>,
     /// Advertised design size in cells, for snapshot-backed or otherwise
     /// non-standard designs whose footprint the `size` label alone

@@ -18,7 +18,7 @@
 //!   strict field validation;
 //! * [`queue`] — a bounded FIFO [`queue::Scheduler`] with admission
 //!   control (full queue ⇒ 429 + `Retry-After`), cancel-before-start,
-//!   exclusive scheduling for deadline-bounded jobs and drain-on-shutdown;
+//!   oversized jobs dispatched alone, and drain-on-shutdown;
 //! * [`cache`] — the content-addressed [`cache::ResultCache`], keyed on
 //!   the FNV-1a digest of the canonical manifest config (the `repro
 //!   compare` schema), entries carrying full manifest provenance,

@@ -12,7 +12,7 @@
 //!   whether the cancel lands before a worker picks the job up is a race
 //!   the report records rather than asserts;
 //! * **deadline** — a fresh config with a generous wall-clock budget,
-//!   exercising the exclusive-dispatch path end to end.
+//!   exercising the deadline path end to end.
 //!
 //! The *plan* (which job index is which kind, which seed it carries) is a
 //! pure function of the generator seed, so two runs against equivalent

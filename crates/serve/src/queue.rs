@@ -14,13 +14,16 @@
 //!    Cancelling a running job does not interrupt it (runs are the
 //!    expensive thing being served; interruption is the deadline layer's
 //!    job) — the cancel call just reports the current state.
-//! 4. **Deadline jobs run exclusively**: the `foldic-fault` deadline
-//!    layer is process-global, so a deadline-bounded job must not share
-//!    the process with other running jobs (they would observe its stage
-//!    budgets). FIFO order is kept: when a deadline job reaches the head
-//!    of the queue, dispatch waits for running jobs to drain, runs it
-//!    alone, then resumes normal concurrency. No starvation in either
+//! 4. **Oversized jobs run alone**: a job whose cost estimate exceeds
+//!    the memory limit is admitted with a reservation — and a budget —
+//!    of the whole limit, so the reservation ledger has room for nothing
+//!    beside it. FIFO order is kept: when an oversized job reaches the
+//!    head of the queue, dispatch waits for running jobs to drain, runs
+//!    it alone, then resumes normal concurrency. No starvation in either
 //!    direction, because the head of the queue always dispatches next.
+//!    Every other job — deadline-bounded or not — runs concurrently: the
+//!    runner gives each run its own `foldic-fault` run context, so no
+//!    job observes another's budgets.
 //!
 //! Shutdown drains: in-flight jobs run to completion, still-queued jobs
 //! are cancelled, workers are joined. The property tests in
@@ -280,12 +283,12 @@ pub struct SubmitCtx {
 struct Job {
     spec: JobSpec,
     status: JobStatus,
-    exclusive: bool,
     /// Bytes this job holds in the reservation ledger; zero once
     /// released (release is idempotent via `State::release_reservation`).
     reservation: u64,
     /// Per-job memory budget for oversized admissions, handed to
-    /// [`StudyRunner::run_budgeted`].
+    /// [`StudyRunner::run_budgeted`]. `Some` marks the job oversized: it
+    /// holds the whole limit, so it dispatches alone.
     mem_budget: Option<u64>,
     /// Spec digest ([`cache_key`] of the canonical config) — computed
     /// for every job, cacheable or not; addresses the poison ledger and
@@ -326,7 +329,8 @@ struct State {
     /// Deepest the queue has ever been (gauge on `/metrics`, `/stats`).
     queue_high_water: usize,
     running: usize,
-    exclusive_active: bool,
+    /// An oversized job is running; nothing else may dispatch.
+    oversized_running: bool,
     next_id: u64,
     draining: bool,
     counters: Counters,
@@ -501,7 +505,7 @@ impl Scheduler {
             queued: 0,
             queue_high_water: 0,
             running: 0,
-            exclusive_active: false,
+            oversized_running: false,
             next_id: 1,
             draining: false,
             counters: Counters::default(),
@@ -675,7 +679,6 @@ impl Scheduler {
                             body: Some(body),
                             flight: None,
                         },
-                        exclusive: false,
                         reservation: 0,
                         mem_budget: None,
                         digest: key.clone(),
@@ -813,10 +816,6 @@ impl Scheduler {
         if let Some(idem) = &idempotency_key {
             state.idempotency.insert(idem.clone(), id);
         }
-        // Budgeted jobs ride the process-global resource layer, so —
-        // exactly like deadline jobs on the deadline layer — they must
-        // not share the process with other running jobs.
-        let exclusive = spec.deadline_secs.is_some() || oversized;
         let parent_span = ctx.as_ref().and_then(|c| c.parent_span);
         state.jobs.insert(
             id,
@@ -833,7 +832,6 @@ impl Scheduler {
                     body: None,
                     flight: None,
                 },
-                exclusive,
                 reservation,
                 mem_budget,
                 digest: key,
@@ -1518,7 +1516,6 @@ fn seed_from_replay(state: &mut State, cache: &ResultCache, replay: &Replay) -> 
                     body,
                     flight: None,
                 },
-                exclusive: rjob.spec.deadline_secs.is_some(),
                 reservation: 0,
                 mem_budget: None,
                 digest: rjob.digest.clone(),
@@ -1553,7 +1550,7 @@ fn seed_from_replay(state: &mut State, cache: &ResultCache, replay: &Replay) -> 
 /// Re-runs the cost-admission classification for journal-replayed queued
 /// jobs: they bypassed `submit_traced`, but they will occupy workers all
 /// the same, so they must hold ledger reservations — and an oversized
-/// replay must come back exclusive and budgeted, or a crash would strip
+/// replay must come back budgeted (and so alone), or a crash would strip
 /// the very protection that let it in. An unpriceable spec (the journal
 /// outlived a size rename, say) is charged the whole limit: maximally
 /// conservative, never admitted alongside anything.
@@ -1568,7 +1565,6 @@ fn reprice_replayed(state: &mut State, limit: u64) {
         }
         let estimate = crate::cost::estimate_cost(&job.spec).unwrap_or(limit);
         let reservation = if estimate > limit {
-            job.exclusive = true;
             job.mem_budget = Some(limit);
             limit
         } else {
@@ -1585,7 +1581,6 @@ struct Picked {
     spec: JobSpec,
     cacheable_key: Option<String>,
     config: BTreeMap<String, String>,
-    exclusive: bool,
     mem_budget: Option<u64>,
     digest: String,
     attempt: u32,
@@ -1612,10 +1607,10 @@ fn supervise_worker(shared: &Arc<Shared>) {
             let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             state.worker_restarts += 1;
             let mut terminal = None;
-            if let Some((id, exclusive, attempt)) = orphan {
+            if let Some((id, oversized, attempt)) = orphan {
                 state.running = state.running.saturating_sub(1);
-                if exclusive {
-                    state.exclusive_active = false;
+                if oversized {
+                    state.oversized_running = false;
                 }
                 if state.probe_job == Some(id) {
                     state.probe_job = None;
@@ -1663,7 +1658,7 @@ fn supervise_worker(shared: &Arc<Shared>) {
     }
 }
 
-/// One worker: strict-FIFO dispatch honoring the exclusivity and poison
+/// One worker: strict-FIFO dispatch honoring the oversized-alone and poison
 /// rules, then execution outside the lock, then completion bookkeeping.
 fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
     let tele = &shared.telemetry;
@@ -1751,10 +1746,10 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
                 }
                 let dispatchable = state.queue.front().and_then(|&head| {
                     let job = state.jobs.get(&head)?;
-                    let ok = if job.exclusive {
+                    let ok = if job.mem_budget.is_some() {
                         state.running == 0
                     } else {
-                        !state.exclusive_active
+                        !state.oversized_running
                     };
                     ok.then_some(head)
                 });
@@ -1775,7 +1770,6 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
                         spec: job.spec.clone(),
                         cacheable_key: job.status.cache_key.clone(),
                         config: job.status.config.clone(),
-                        exclusive: job.exclusive,
                         mem_budget: job.mem_budget,
                         digest: job.digest.clone(),
                         attempt: job.status.attempt,
@@ -1783,14 +1777,13 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
                         parent_span: job.parent_span,
                         submit_ns: job.submit_ns,
                     };
-                    if picked.exclusive {
-                        state.exclusive_active = true;
-                    }
+                    let oversized = picked.mem_budget.is_some();
+                    state.oversized_running |= oversized;
                     // Under the state lock: the supervisor's crash
                     // repair sees either no job or a fully-dispatched
                     // one, never a half-transition.
                     *current.lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some((id, picked.exclusive, picked.attempt));
+                        Some((id, oversized, picked.attempt));
                     shared.changed.notify_all();
                     break picked;
                 }
@@ -1805,7 +1798,6 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
             spec,
             cacheable_key,
             config,
-            exclusive,
             mem_budget,
             digest,
             attempt,
@@ -1904,8 +1896,8 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
         let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
         *current.lock().unwrap_or_else(|e| e.into_inner()) = None;
         state.running -= 1;
-        if exclusive {
-            state.exclusive_active = false;
+        if mem_budget.is_some() {
+            state.oversized_running = false;
         }
         state.release_reservation(id);
         // Supervision bookkeeping: only a *panic* counts against the

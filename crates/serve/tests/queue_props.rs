@@ -5,8 +5,9 @@
 //!   and never blocks the submitter;
 //! * cancel-before-start — a cancelled queued job never reaches the
 //!   runner;
-//! * exclusive dispatch — a deadline-bounded job runs alone, and FIFO
-//!   order is preserved around it;
+//! * concurrency — a deadline-bounded job runs next to a plain one,
+//!   while an oversized job (one that holds the whole memory limit)
+//!   runs alone, with FIFO order preserved around it;
 //! * drain-on-shutdown — in-flight jobs finish, queued jobs cancel, and
 //!   shutdown returns without deadlock;
 //! * supervision — a panicking spec is quarantined after the poison
@@ -15,6 +16,7 @@
 //!   probe) → closed on a probe success.
 
 use foldic_fault::supervise::BreakerConfig;
+use foldic_serve::cost::estimate_cost;
 use foldic_serve::queue::{
     Durability, JobState, Scheduler, SchedulerConfig, StudyRunner, Submission,
 };
@@ -199,7 +201,7 @@ fn cancel_before_start_never_reaches_the_runner() {
 }
 
 #[test]
-fn deadline_jobs_dispatch_exclusively_in_fifo_order() {
+fn deadline_and_plain_jobs_run_concurrently() {
     let runner = GateRunner::new();
     let sched = Scheduler::new(
         runner.clone(),
@@ -212,31 +214,71 @@ fn deadline_jobs_dispatch_exclusively_in_fifo_order() {
     );
     let a = queued(sched.submit(spec("a")));
     runner.await_started("a", WAIT);
-    // `d` is deadline-bounded (exclusive); `b` follows it in the queue.
+    // A deadline binds only its own run, so `d` takes the free worker
+    // while `a` is still running.
     let mut dspec = spec("d");
     dspec.deadline_secs = Some(30.0);
     let d = queued(sched.submit(dspec));
-    let b = queued(sched.submit(spec("b")));
-    // Two workers are available, but neither `d` (exclusive, `a` still
-    // running) nor `b` (FIFO: behind `d`) may start.
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(runner.running_now(), ["a"]);
-    assert_eq!(sched.status(d).unwrap().state, JobState::Queued);
-    assert_eq!(sched.status(b).unwrap().state, JobState::Queued);
-    // `a` finishes → `d` runs alone; `b` still held back.
-    runner.release("a");
     runner.await_started("d", WAIT);
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(runner.running_now(), ["d"]);
-    assert_eq!(sched.status(b).unwrap().state, JobState::Queued);
-    // `d` finishes → normal concurrency resumes.
-    runner.release("d");
-    runner.await_started("b", WAIT);
-    runner.release("b");
-    for id in [a, d, b] {
+    let mut running = runner.running_now();
+    running.sort();
+    assert_eq!(running, ["a", "d"]);
+    for name in ["a", "d"] {
+        runner.release(name);
+    }
+    for id in [a, d] {
         assert_eq!(sched.wait_terminal(id, WAIT), Some(JobState::Done));
     }
-    assert_eq!(runner.started(), ["a", "d", "b"]);
+    sched.shutdown();
+}
+
+#[test]
+fn oversized_jobs_dispatch_alone_in_fifo_order() {
+    // The limit holds two tiny jobs side by side; a `full` job prices
+    // above it outright and is admitted oversized, holding the whole
+    // limit — so it must run alone.
+    let limit = 2 * estimate_cost(&spec("a")).unwrap();
+    let mut big = spec("o1");
+    big.size = "full".to_owned();
+    assert!(estimate_cost(&big).unwrap() > limit);
+    let runner = GateRunner::new();
+    let sched = Scheduler::new(
+        runner.clone(),
+        SchedulerConfig {
+            queue_capacity: 8,
+            workers: 2,
+            retry_after_secs: 1,
+            mem_limit: Some(limit),
+        },
+    );
+    let a = queued(sched.submit(spec("a")));
+    let b = queued(sched.submit(spec("b")));
+    runner.await_started("a", WAIT);
+    runner.await_started("b", WAIT);
+    let o1 = queued(sched.submit(big.clone()));
+    big.experiments = vec!["o2".to_owned()];
+    let o2 = queued(sched.submit(big));
+    // `o1` waits for both running jobs to drain, not just for a worker.
+    runner.release("a");
+    assert_eq!(sched.wait_terminal(a, WAIT), Some(JobState::Done));
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(runner.running_now(), ["b"]);
+    assert_eq!(sched.status(o1).unwrap().state, JobState::Queued);
+    // `b` finishes → `o1` runs alone; `o2` is held back with a worker
+    // free.
+    runner.release("b");
+    runner.await_started("o1", WAIT);
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(runner.running_now(), ["o1"]);
+    assert_eq!(sched.status(o2).unwrap().state, JobState::Queued);
+    runner.release("o1");
+    runner.await_started("o2", WAIT);
+    assert_eq!(runner.running_now(), ["o2"]);
+    runner.release("o2");
+    for id in [b, o1, o2] {
+        assert_eq!(sched.wait_terminal(id, WAIT), Some(JobState::Done));
+    }
+    assert_eq!(runner.started(), ["a", "b", "o1", "o2"]);
     sched.shutdown();
 }
 

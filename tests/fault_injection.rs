@@ -2,25 +2,26 @@
 //! full-chip flow, per-block isolation with retry/degradation, thread
 //! invariance of faulted runs, and checkpoint/resume equivalence.
 //!
-//! The fault plan and the fault log are process-global, so every test
-//! serializes on one mutex, installs its plan inside the critical
-//! section, and clears both before leaving it.
+//! Each faulted run carries its plan in its own run context, so the
+//! tests run in parallel without seeing each other's faults.
 
 use foldic::prelude::*;
 use foldic::{
-    clear_fault_plan, install_fault_plan, take_fault_log, CheckpointStore, Disposition, FaultPlan,
-    FlowStage, RetryPolicy,
+    CheckpointStore, Disposition, FaultPlan, FlowStage, RetryPolicy, RunConfig, RunCtx, RunOutcome,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Enters the critical section with clean global fault state.
-fn exclusive() -> MutexGuard<'static, ()> {
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    clear_fault_plan();
-    let _ = take_fault_log();
-    guard
+/// Runs one full chip under a context injecting `spec`.
+fn run_faulted(spec: &str, style: DesignStyle, threads: usize) -> (FullChipResult, RunOutcome) {
+    let ctx = RunCtx::new(RunConfig {
+        faults: Some(FaultPlan::parse(spec).unwrap()),
+        ..RunConfig::default()
+    });
+    let result = {
+        let _entered = ctx.enter();
+        run(style, threads, None)
+    };
+    (result, ctx.finish())
 }
 
 fn run(
@@ -50,10 +51,7 @@ fn assert_same(a: &FullChipResult, b: &FullChipResult) {
 
 #[test]
 fn injected_route_failure_degrades_only_that_block() {
-    let _g = exclusive();
-    install_fault_plan(FaultPlan::parse("route:ccx:error").unwrap());
-    let result = run(DesignStyle::Flat2d, 1, None);
-    clear_fault_plan();
+    let (result, outcome) = run_faulted("route:ccx:error", DesignStyle::Flat2d, 1);
 
     assert_eq!(result.faults.len(), 1, "exactly one faulted block");
     let f = &result.faults[0];
@@ -68,19 +66,15 @@ fn injected_route_failure_degrades_only_that_block() {
     // the degraded analytical estimate still rolls up into chip totals
     assert!(result.chip.power.total_w() > 0.0);
     assert!(result.chip.footprint_um2 > 0.0);
-    // provenance also landed in the global log, in the same shape
-    assert_eq!(take_fault_log(), result.faults);
+    // provenance also landed in the run's log, in the same shape
+    assert_eq!(outcome.faults, result.faults);
 }
 
 #[test]
 fn injected_panic_recovers_on_the_first_retry() {
-    let _g = exclusive();
     // `:1` fires on attempt 0 only: the panic unwinds through the
     // isolation boundary, the retry runs clean and recovers the block
-    install_fault_plan(FaultPlan::parse("place:ccx:panic:1").unwrap());
-    let result = run(DesignStyle::Flat2d, 1, None);
-    clear_fault_plan();
-    let _ = take_fault_log();
+    let (result, _) = run_faulted("place:ccx:panic:1", DesignStyle::Flat2d, 1);
 
     assert_eq!(result.faults.len(), 1);
     let f = &result.faults[0];
@@ -96,24 +90,18 @@ fn injected_panic_recovers_on_the_first_retry() {
 
 #[test]
 fn faulted_runs_are_thread_invariant() {
-    let _g = exclusive();
     // one permanent panic (degrades) plus one transient error (recovers)
-    let plan = FaultPlan::parse("route:ccx:panic,sta:mcu0:error:1").unwrap();
-    install_fault_plan(plan.clone());
-    let serial = run(DesignStyle::CoreCache, 1, None);
-    let _ = take_fault_log();
-    install_fault_plan(plan);
-    let parallel = run(DesignStyle::CoreCache, 4, None);
-    clear_fault_plan();
-    let _ = take_fault_log();
+    let plan = "route:ccx:panic,sta:mcu0:error:1";
+    let (serial, serial_outcome) = run_faulted(plan, DesignStyle::CoreCache, 1);
+    let (parallel, parallel_outcome) = run_faulted(plan, DesignStyle::CoreCache, 4);
 
     assert_eq!(serial.faults.len(), 2);
     assert_same(&serial, &parallel);
+    assert_eq!(serial_outcome, parallel_outcome);
 }
 
 #[test]
 fn checkpoint_resume_replays_blocks_byte_identically() {
-    let _g = exclusive();
     let store = Arc::new(CheckpointStore::in_memory());
     let first = run(DesignStyle::CoreCache, 1, Some(store.clone()));
     assert_eq!(store.len(), first.per_block.len(), "every block stored");
@@ -127,7 +115,6 @@ fn checkpoint_resume_replays_blocks_byte_identically() {
 
 #[test]
 fn torn_checkpoint_tail_is_recomputed_on_resume() {
-    let _g = exclusive();
     let path =
         std::env::temp_dir().join(format!("foldic-fault-itest-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
