@@ -287,12 +287,7 @@ fn main() {
     if picks.is_empty() {
         picks.push("all".to_owned());
     }
-    let size_cfg = |label: &str| match label {
-        "full" => T2Config::full(),
-        "small" => T2Config::small(),
-        "tiny" => T2Config::tiny(),
-        other => usage_err(&format!("unknown size `{other}` (full|small|tiny)")),
-    };
+    let size_cfg = |label: &str| T2Config::from_label(label).unwrap_or_else(|e| usage_err(&e));
     let mut cfg = size_cfg(&size);
 
     // A snapshot-backed run: the file's provenance overrides the size
@@ -449,41 +444,24 @@ fn main() {
 
     let want = |name: &str, picks: &[String]| picks.iter().any(|p| p == name || p == "all");
     let mut ran: Vec<String> = Vec::new();
-    macro_rules! run {
-        ($name:literal, $body:expr) => {
-            if want($name, &picks) {
-                let t = Instant::now();
-                let report = $body;
-                let text = report.to_string();
-                println!("{text}");
-                let stage_report = run_ctx.take_profile();
-                if profile {
-                    println!("-- profile: {} --\n{}", $name, stage_report);
-                }
-                if manifest_path.is_some() {
-                    manifest.record_result($name, &text);
-                    timing_experiments
-                        .insert($name.to_owned(), timing_json(&stage_report, t.elapsed()));
-                }
-                println!("[{} finished in {:?}]\n", $name, t.elapsed());
-                ran.push($name.to_owned());
-            }
-        };
+    for &name in experiments::SERVABLE {
+        if !want(name, &picks) {
+            continue;
+        }
+        let t = Instant::now();
+        let text = experiments::run(name, &mut ctx).expect("SERVABLE names a runner");
+        println!("{text}");
+        let stage_report = run_ctx.take_profile();
+        if profile {
+            println!("-- profile: {name} --\n{stage_report}");
+        }
+        if manifest_path.is_some() {
+            manifest.record_result(name, &text);
+            timing_experiments.insert(name.to_owned(), timing_json(&stage_report, t.elapsed()));
+        }
+        println!("[{name} finished in {:?}]\n", t.elapsed());
+        ran.push(name.to_owned());
     }
-
-    run!("table1", experiments::table1(&ctx.tech));
-    run!("table2", experiments::table2(&mut ctx));
-    run!("table3", experiments::table3(&mut ctx));
-    run!("table4", experiments::table4(&mut ctx));
-    run!("fig2", experiments::fig2(&mut ctx));
-    run!("fig3", experiments::fig3(&mut ctx));
-    run!("fig5", experiments::fig5(&mut ctx));
-    run!("fig6", experiments::fig6(&mut ctx));
-    run!("fig7", experiments::fig7(&mut ctx));
-    run!("fig8", experiments::fig8(&mut ctx));
-    run!("table5", experiments::table5(&mut ctx));
-    run!("thermal", experiments::thermal(&mut ctx));
-    run!("ablations", experiments::ablations(&mut ctx));
     if want("layouts", &picks) {
         let t = Instant::now();
         let report = experiments::layouts(&mut ctx, Path::new("layouts"));
@@ -757,12 +735,7 @@ fn run_gen(args: &[String]) -> i32 {
         );
         cfg.save(&foldic_tech::Technology::cmos28(), &out)
     } else {
-        let mut cfg = match size.as_str() {
-            "full" => T2Config::full(),
-            "small" => T2Config::small(),
-            "tiny" => T2Config::tiny(),
-            other => usage_err(&format!("unknown size `{other}` (full|small|tiny)")),
-        };
+        let mut cfg = T2Config::from_label(&size).unwrap_or_else(|e| usage_err(&e));
         if let Some(s) = seed {
             cfg.seed = s;
         }

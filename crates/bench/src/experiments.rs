@@ -10,6 +10,46 @@ use foldic::prelude::*;
 use foldic_timing::TimingBudgets;
 use std::fmt::Write as _;
 
+/// Experiments the daemon serves, in the fixed `repro` run order —
+/// the names [`run`] knows. `layouts` (writes files) and the `all` alias
+/// are deliberately not servable: a job names its studies explicitly.
+pub const SERVABLE: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig2",
+    "fig3",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table5",
+    "thermal",
+    "ablations",
+];
+
+/// Runs the [`SERVABLE`] experiment `name` on `ctx` and returns its
+/// report; `None` for any other name.
+pub fn run(name: &str, ctx: &mut Ctx) -> Option<String> {
+    Some(match name {
+        "table1" => table1(&ctx.tech),
+        "table2" => table2(ctx),
+        "table3" => table3(ctx),
+        "table4" => table4(ctx),
+        "fig2" => fig2(ctx),
+        "fig3" => fig3(ctx),
+        "fig5" => fig5(ctx),
+        "fig6" => fig6(ctx),
+        "fig7" => fig7(ctx),
+        "fig8" => fig8(ctx),
+        "table5" => table5(ctx),
+        "thermal" => thermal(ctx),
+        "ablations" => ablations(ctx),
+        _ => return None,
+    })
+}
+
 /// A scalar extracted from a design's metrics, one table row each.
 type Metric = fn(&DesignMetrics) -> f64;
 

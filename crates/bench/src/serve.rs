@@ -29,24 +29,7 @@ use foldic_t2::T2Config;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Experiments the daemon serves, in the fixed `repro` run order.
-/// `layouts` (writes files) and the `all` alias are deliberately not
-/// servable: a job names its studies explicitly.
-pub const SERVABLE: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "table5",
-    "thermal",
-    "ablations",
-];
+pub use crate::experiments::SERVABLE;
 
 /// Executes `foldic-bench` experiments for the serve scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -60,12 +43,7 @@ struct Resolved {
 }
 
 fn resolve_spec(spec: &JobSpec) -> Result<Resolved, String> {
-    let mut cfg = match spec.size.as_str() {
-        "full" => T2Config::full(),
-        "small" => T2Config::small(),
-        "tiny" => T2Config::tiny(),
-        other => return Err(format!("unknown size `{other}` (full|small|tiny)")),
-    };
+    let mut cfg = T2Config::from_label(&spec.size)?;
     if let Some(seed) = spec.seed {
         cfg.seed = seed;
     }
@@ -99,22 +77,8 @@ fn resolve_spec(spec: &JobSpec) -> Result<Resolved, String> {
 
 fn run_experiments(ctx: &mut Ctx, names: &[&'static str], manifest: &mut RunManifest) {
     for name in names {
-        let text = match *name {
-            "table1" => experiments::table1(&ctx.tech),
-            "table2" => experiments::table2(ctx),
-            "table3" => experiments::table3(ctx),
-            "table4" => experiments::table4(ctx),
-            "fig2" => experiments::fig2(ctx),
-            "fig3" => experiments::fig3(ctx),
-            "fig5" => experiments::fig5(ctx),
-            "fig6" => experiments::fig6(ctx),
-            "fig7" => experiments::fig7(ctx),
-            "fig8" => experiments::fig8(ctx),
-            "table5" => experiments::table5(ctx),
-            "thermal" => experiments::thermal(ctx),
-            "ablations" => experiments::ablations(ctx),
-            other => unreachable!("unservable experiment `{other}` past resolve"),
-        };
+        let text = experiments::run(name, ctx)
+            .unwrap_or_else(|| unreachable!("unservable experiment `{name}` past resolve"));
         manifest.record_result(name, &text);
     }
 }

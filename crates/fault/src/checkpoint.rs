@@ -15,9 +15,10 @@
 //! after it) rather than rejected — those blocks are simply recomputed.
 
 use foldic_obs::json::Json;
+use foldic_obs::jsonl;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -76,6 +77,16 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<jsonl::OpenError> for CheckpointError {
+    fn from(e: jsonl::OpenError) -> Self {
+        match e {
+            jsonl::OpenError::Io(path, message) => Self::Io { path, message },
+            jsonl::OpenError::BadHeader(msg) => Self::BadHeader(msg),
+            jsonl::OpenError::SchemaMismatch(want, got) => Self::SchemaMismatch { want, got },
+        }
+    }
+}
+
 /// An append-only key→JSON store backed by a JSONL file (or memory).
 ///
 /// Keys are free-form strings; the flow uses `style_key/block` so one
@@ -101,10 +112,7 @@ impl std::fmt::Debug for CheckpointStore {
 
 impl CheckpointStore {
     /// Opens (or creates) a checkpoint file, loading any entries already
-    /// in it. A truncated final line — the signature of a killed run —
-    /// is tolerated: reading stops there, the torn entry is dropped, and
-    /// the file is trimmed back to its last intact line so later appends
-    /// start on a clean boundary.
+    /// in it; a torn tail is dropped and trimmed ([`jsonl::open`]).
     ///
     /// # Errors
     ///
@@ -112,70 +120,19 @@ impl CheckpointStore {
     /// created/read, carries a different schema tag, or holds the same
     /// key twice with conflicting values.
     pub fn open(path: &Path) -> Result<Self, CheckpointError> {
-        let io = |message: String| CheckpointError::Io {
-            path: path.to_owned(),
-            message,
-        };
         let mut entries: BTreeMap<String, Json> = BTreeMap::new();
-        // byte length of the valid prefix (complete, parseable lines)
-        let mut valid_end = 0u64;
-        if path.exists() {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| io(format!("cannot read: {e}")))?;
-            let mut header_seen = false;
-            for line in text.split_inclusive('\n') {
-                if !line.ends_with('\n') {
-                    break; // torn tail from a killed append
-                }
-                let trimmed = line.trim();
-                if !header_seen && !trimmed.is_empty() {
-                    let header = Json::parse(trimmed)
-                        .map_err(|e| CheckpointError::BadHeader(e.to_string()))?;
-                    match header.get("schema").and_then(Json::as_str) {
-                        Some(CHECKPOINT_SCHEMA) => {}
-                        other => {
-                            return Err(CheckpointError::SchemaMismatch {
-                                want: CHECKPOINT_SCHEMA,
-                                got: other.map(str::to_owned),
-                            })
-                        }
-                    }
-                    header_seen = true;
-                } else if !trimmed.is_empty() {
-                    // An unparseable mid-file line means corruption; keep
-                    // the intact prefix and recompute the rest.
-                    let Ok(entry) = Json::parse(trimmed) else {
-                        break;
-                    };
-                    let (Some(key), Some(value)) =
-                        (entry.get("key").and_then(Json::as_str), entry.get("value"))
-                    else {
-                        break;
-                    };
-                    if entries.get(key).is_some_and(|prev| prev != value) {
-                        return Err(CheckpointError::ConflictingDuplicate(key.to_owned()));
-                    }
-                    entries.insert(key.to_owned(), value.clone());
-                }
-                valid_end += line.len() as u64;
+        let (sink, _) = jsonl::open(path, CHECKPOINT_SCHEMA, |entry| {
+            let (Some(key), Some(value)) =
+                (entry.get("key").and_then(Json::as_str), entry.get("value"))
+            else {
+                return Ok(false);
+            };
+            if entries.get(key).is_some_and(|prev| prev != value) {
+                return Err(CheckpointError::ConflictingDuplicate(key.to_owned()));
             }
-        }
-        let mut sink = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| io(format!("cannot open: {e}")))?;
-        sink.set_len(valid_end)
-            .map_err(|e| io(format!("cannot trim: {e}")))?;
-        sink.seek(SeekFrom::End(0))
-            .map_err(|e| io(format!("cannot seek: {e}")))?;
-        if valid_end == 0 {
-            let header =
-                Json::obj([("schema".to_owned(), Json::Str(CHECKPOINT_SCHEMA.to_owned()))]);
-            writeln!(sink, "{}", header.to_compact())
-                .map_err(|e| io(format!("cannot write header: {e}")))?;
-        }
+            entries.insert(key.to_owned(), value.clone());
+            Ok(true)
+        })?;
         Ok(Self {
             entries: Mutex::new(entries),
             sink: Mutex::new(Some(sink)),

@@ -34,6 +34,7 @@ use crate::intern::{Interner, Symbol};
 use crate::netlist::{master_raw_valid, pin_raw_valid, ClockDomain, Netlist};
 use crate::{BlockId, PortId};
 use foldic_geom::{Point, Rect, Tier};
+use rand::{fnv1a, FNV1A_BASIS};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
@@ -137,20 +138,10 @@ fn corrupt(why: impl Into<String>) -> DbError {
     DbError::Corrupt(why.into())
 }
 
-/// FNV-1a over `bytes` (same function the report digests use).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Whole-file digest in the manifest's `fnv64:` notation.
 pub fn file_digest(path: &Path) -> Result<String, DbError> {
     let bytes = std::fs::read(path)?;
-    Ok(format!("fnv64:{:016x}", fnv1a(&bytes)))
+    Ok(format!("fnv64:{:016x}", fnv1a(FNV1A_BASIS, &bytes)))
 }
 
 /// Provenance of a loaded snapshot: the meta entries the generator wrote,
@@ -221,7 +212,7 @@ impl DbWriter {
     }
 
     fn flush_section(&mut self, tag: u32, index: u32, bytes: &[u8]) -> Result<(), DbError> {
-        let digest = fnv1a(bytes);
+        let digest = fnv1a(FNV1A_BASIS, bytes);
         self.out.write_all(bytes)?;
         self.records
             .push((tag, index, self.off, bytes.len() as u64, digest));
@@ -828,7 +819,7 @@ pub fn load_design_bytes(bytes: &[u8]) -> Result<(Design, DbInfo), DbError> {
             return Err(DbError::Truncated);
         }
         let sec = &bytes[off as usize..(off + len) as usize];
-        if fnv1a(sec) != digest {
+        if fnv1a(FNV1A_BASIS, sec) != digest {
             return Err(DbError::SectionDigest { tag, index });
         }
         match tag {
@@ -883,7 +874,7 @@ pub fn load_design_bytes(bytes: &[u8]) -> Result<(Design, DbInfo), DbError> {
     }
     let info = DbInfo {
         meta,
-        digest: format!("fnv64:{:016x}", fnv1a(bytes)),
+        digest: format!("fnv64:{:016x}", fnv1a(FNV1A_BASIS, bytes)),
         cells,
         nets,
     };

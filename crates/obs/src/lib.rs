@@ -35,6 +35,7 @@
 pub mod expo;
 pub mod flight;
 pub mod json;
+pub mod jsonl;
 pub mod log;
 pub mod manifest;
 pub mod metrics;

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::metrics::{Metric, Snapshot};
+use rand::{fnv1a, FNV1A_BASIS};
 
 /// Manifest schema identifier, bumped on incompatible layout changes.
 pub const SCHEMA: &str = "foldic-run-manifest/1";
@@ -100,12 +101,7 @@ pub struct RunManifest {
 
 /// FNV-1a 64-bit digest of a report text, formatted `fnv64:<16 hex>`.
 pub fn digest_report(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("fnv64:{hash:016x}")
+    format!("fnv64:{:016x}", fnv1a(FNV1A_BASIS, text.as_bytes()))
 }
 
 impl RunManifest {

@@ -31,23 +31,28 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a 64 offset basis: the state [`fnv1a`] starts a hash from.
+pub const FNV1A_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a 64 over `bytes`, continuing from `state` ([`FNV1A_BASIS`] for
+/// a fresh hash). The workspace's one copy: seed derivation, manifest
+/// report digests, cache keys and design-database section digests.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Derives a deterministic seed from a stable textual key.
 ///
 /// FNV-1a over every part, finalized through SplitMix64. Used to give
 /// each parallel job `(experiment, block, config)` its own RNG stream
 /// that is independent of scheduling order.
 pub fn derive_seed(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        // separator so ["ab","c"] != ["a","bc"]
-        h ^= 0x1F;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut s = h;
+    // a 0x1F separator byte after each part so ["ab","c"] != ["a","bc"]
+    let mut s = parts.iter().fold(FNV1A_BASIS, |h, part| {
+        fnv1a(fnv1a(h, part.as_bytes()), &[0x1F])
+    });
     splitmix64(&mut s)
 }
 
@@ -249,7 +254,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{derive_seed, Rng, SeedableRng};
+    use super::{derive_seed, fnv1a, Rng, SeedableRng, FNV1A_BASIS};
 
     #[test]
     fn same_seed_same_stream() {
@@ -313,6 +318,17 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle should move something");
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_pins_derive_seed() {
+        assert_eq!(fnv1a(FNV1A_BASIS, b""), FNV1A_BASIS);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_BASIS, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
+        assert_eq!(derive_seed(&["fig7", "l2t0"]), 0x340f_b141_4ea8_1b86);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The write-ahead job journal (`foldic-serve-journal/1`).
 //!
-//! An append-only JSONL file in the `CheckpointStore` discipline: one
-//! header line naming the schema, then one compact-JSON line per job
-//! transition. Three record kinds cover a job's lifetime:
+//! An append-only JSONL log ([`foldic_obs::jsonl::open`]): one header
+//! line naming the schema, then one compact-JSON line per job transition.
+//! Three record kinds cover a job's lifetime:
 //!
 //! * `accepted` — written (and fsync'd) **before** `POST /jobs` returns,
 //!   carrying the full spec, its canonical config, the spec digest, the
@@ -29,9 +29,10 @@
 
 use crate::job::JobSpec;
 use foldic_obs::json::Json;
+use foldic_obs::jsonl;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -87,6 +88,16 @@ impl std::fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
+
+impl From<jsonl::OpenError> for JournalError {
+    fn from(e: jsonl::OpenError) -> Self {
+        match e {
+            jsonl::OpenError::Io(path, message) => Self::Io { path, message },
+            jsonl::OpenError::BadHeader(msg) => Self::BadHeader(msg),
+            jsonl::OpenError::SchemaMismatch(want, got) => Self::SchemaMismatch { want, got },
+        }
+    }
+}
 
 /// One journal transition, ready to serialize or just deserialized.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,11 +338,8 @@ impl std::fmt::Debug for Journal {
 
 impl Journal {
     /// Opens (or creates) a journal, replaying any records already in
-    /// it. A truncated or corrupt tail — the signature of a SIGKILLed
-    /// daemon — is tolerated: reading stops there and the file is
-    /// trimmed back to its last intact line so later appends start on a
-    /// clean boundary. The header (when newly written) is fsync'd, so an
-    /// empty-but-created journal survives a crash too.
+    /// it; a torn or corrupt tail is dropped and trimmed, and a new
+    /// header is fsync'd ([`jsonl::open`]).
     ///
     /// # Errors
     ///
@@ -339,69 +347,16 @@ impl Journal {
     /// created/read, carries a different schema tag, or accepted the
     /// same job id under two different spec digests.
     pub fn open(path: &Path) -> Result<(Self, Replay), JournalError> {
-        let io = |message: String| JournalError::Io {
-            path: path.to_owned(),
-            message,
-        };
         let mut replay = Replay::default();
-        let mut valid_end = 0u64;
-        let mut total_len = 0u64;
-        if path.exists() {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| io(format!("cannot read: {e}")))?;
-            total_len = text.len() as u64;
-            let mut header_seen = false;
-            for line in text.split_inclusive('\n') {
-                if !line.ends_with('\n') {
-                    break; // torn tail from a killed append
-                }
-                let trimmed = line.trim();
-                if !header_seen && !trimmed.is_empty() {
-                    let header =
-                        Json::parse(trimmed).map_err(|e| JournalError::BadHeader(e.to_string()))?;
-                    match header.get("schema").and_then(Json::as_str) {
-                        Some(JOURNAL_SCHEMA) => {}
-                        other => {
-                            return Err(JournalError::SchemaMismatch {
-                                want: JOURNAL_SCHEMA,
-                                got: other.map(str::to_owned),
-                            })
-                        }
-                    }
-                    header_seen = true;
-                } else if !trimmed.is_empty() {
-                    // An unparseable or malformed line means corruption;
-                    // keep the intact prefix and drop the rest.
-                    let Ok(doc) = Json::parse(trimmed) else {
-                        break;
-                    };
-                    let Some(record) = Record::parse(&doc) else {
-                        break;
-                    };
-                    replay.records += 1;
-                    apply(&mut replay, record)?;
-                }
-                valid_end += line.len() as u64;
-            }
-        }
-        replay.trimmed_bytes = total_len.saturating_sub(valid_end);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| io(format!("cannot open: {e}")))?;
-        file.set_len(valid_end)
-            .map_err(|e| io(format!("cannot trim: {e}")))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io(format!("cannot seek: {e}")))?;
-        if valid_end == 0 {
-            let header = Json::obj([("schema".to_owned(), Json::Str(JOURNAL_SCHEMA.to_owned()))]);
-            writeln!(file, "{}", header.to_compact())
-                .map_err(|e| io(format!("cannot write header: {e}")))?;
-            file.sync_data()
-                .map_err(|e| io(format!("cannot sync header: {e}")))?;
-        }
+        let (file, trimmed_bytes) = jsonl::open::<JournalError>(path, JOURNAL_SCHEMA, |doc| {
+            let Some(record) = Record::parse(doc) else {
+                return Ok(false);
+            };
+            replay.records += 1;
+            apply(&mut replay, record)?;
+            Ok(true)
+        })?;
+        replay.trimmed_bytes = trimmed_bytes;
         Ok((
             Self {
                 file: Mutex::new(file),

@@ -78,7 +78,9 @@ use crate::cache::ResultCache;
 use crate::job::{cache_key, JobSpec};
 use crate::journal::{Journal, Record as JournalRecord, Replay};
 use crate::telemetry::{self, field_num, field_str, Telemetry};
-use foldic_fault::supervise::{Admission, BreakerConfig, CircuitBreaker, PoisonLedger};
+use foldic_fault::supervise::{
+    Admission, BreakerConfig, BreakerState, CircuitBreaker, PoisonLedger,
+};
 use foldic_obs::json::Json;
 use foldic_obs::log::Level;
 use foldic_obs::metrics::Metric;
@@ -382,8 +384,6 @@ struct Shared {
     cache: ResultCache,
     /// Write-ahead journal, when durability is configured.
     journal: Option<Journal>,
-    /// `true` when a breaker was configured (for stats/metrics gating).
-    breaker_configured: bool,
     runner: Arc<dyn StudyRunner>,
     cfg: SchedulerConfig,
     telemetry: Arc<Telemetry>,
@@ -498,7 +498,6 @@ impl Scheduler {
             cache,
             breaker,
         } = durability;
-        let breaker_configured = breaker.is_some();
         let mut state = State {
             jobs: HashMap::new(),
             queue: VecDeque::new(),
@@ -547,7 +546,6 @@ impl Scheduler {
             changed: Condvar::new(),
             cache,
             journal,
-            breaker_configured,
             runner,
             cfg,
             telemetry,
@@ -982,12 +980,12 @@ impl Scheduler {
         }
     }
 
-    /// The `/stats` document: job counts by state, queue occupancy,
-    /// cache counters, plus uptime. Everything except `uptime_seconds`
-    /// is a counter, not a wall-clock reading, so two probes of an idle
-    /// daemon agree on every other field. With durability configured a
-    /// `durability` section is appended (and only then — a plain daemon
-    /// emits the document byte-identically to earlier versions).
+    /// The `/stats` document: job counts by state plus every row of the
+    /// scheduler's counter table that has a `/stats` path — queue
+    /// occupancy, counters, cache, uptime, and the pay-for-use
+    /// `durability`/`resources` sections. Everything except
+    /// `uptime_seconds` is a counter, not a wall-clock reading, so two
+    /// probes of an idle daemon agree on every other field.
     pub fn stats_json(&self) -> Json {
         let state = self.lock();
         let mut by_state: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -1003,334 +1001,198 @@ impl Scheduler {
         for job in state.jobs.values() {
             *by_state.entry(job.status.state.as_str()).or_default() += 1;
         }
-        let durability = self.durability_json(&state);
-        let cache = self.shared.cache.stats();
-        let mut fields = vec![
-            (
-                "schema".to_owned(),
-                Json::Str("foldic-serve-stats/1".to_owned()),
+        let mut doc = BTreeMap::new();
+        doc.insert(
+            "schema".to_owned(),
+            Json::Str("foldic-serve-stats/1".to_owned()),
+        );
+        doc.insert(
+            "jobs".to_owned(),
+            Json::obj(
+                by_state
+                    .into_iter()
+                    .map(|(k, n)| (k.to_owned(), Json::Num(n as f64))),
             ),
-            (
-                "jobs".to_owned(),
-                Json::Obj(
-                    by_state
-                        .into_iter()
-                        .map(|(k, v)| (k.to_owned(), Json::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "queue".to_owned(),
-                Json::obj([
-                    ("depth".to_owned(), Json::Num(state.queued as f64)),
-                    (
-                        "capacity".to_owned(),
-                        Json::Num(self.shared.cfg.queue_capacity as f64),
-                    ),
-                    (
-                        "high_water".to_owned(),
-                        Json::Num(state.queue_high_water as f64),
-                    ),
-                    (
-                        "rejected".to_owned(),
-                        Json::Num(state.counters.rejected as f64),
-                    ),
-                ]),
-            ),
-            (
-                "counters".to_owned(),
-                Json::obj([
-                    (
-                        "submitted".to_owned(),
-                        Json::Num(state.counters.submitted as f64),
-                    ),
-                    (
-                        "completed".to_owned(),
-                        Json::Num(state.counters.completed as f64),
-                    ),
-                    ("failed".to_owned(), Json::Num(state.counters.failed as f64)),
-                    (
-                        "cancelled".to_owned(),
-                        Json::Num(state.counters.cancelled as f64),
-                    ),
-                ]),
-            ),
-            (
-                "cache".to_owned(),
-                Json::obj([
-                    ("entries".to_owned(), Json::Num(cache.entries as f64)),
-                    ("hits".to_owned(), Json::Num(cache.hits as f64)),
-                    ("misses".to_owned(), Json::Num(cache.misses as f64)),
-                    ("insertions".to_owned(), Json::Num(cache.insertions as f64)),
-                ]),
-            ),
-            (
-                "uptime_seconds".to_owned(),
-                Json::Num(self.shared.telemetry.uptime_secs() as f64),
-            ),
-            (
-                "workers".to_owned(),
-                Json::Num(self.shared.cfg.workers as f64),
-            ),
-        ];
-        if let Some(durability) = durability {
-            fields.push(("durability".to_owned(), durability));
-        }
-        // Pay-for-use like `durability`: only a memory-limited daemon
-        // grows the `resources` section.
-        if let Some(limit) = self.shared.cfg.mem_limit {
-            fields.push((
-                "resources".to_owned(),
-                Json::obj([
-                    ("limit_bytes".to_owned(), Json::Num(limit as f64)),
-                    (
-                        "mem_shed".to_owned(),
-                        Json::Num(state.counters.mem_shed as f64),
-                    ),
-                    (
-                        "oversized".to_owned(),
-                        Json::Num(state.counters.oversized as f64),
-                    ),
-                    (
-                        "reserved_bytes".to_owned(),
-                        Json::Num(state.reserved as f64),
-                    ),
-                    (
-                        "reserved_peak_bytes".to_owned(),
-                        Json::Num(state.reserved_peak as f64),
-                    ),
-                ]),
-            ));
-        }
-        drop(state);
-        Json::obj(fields)
-    }
-
-    /// The `durability` section of `/stats` — present only when the
-    /// journal, cache directory or breaker is configured (pay-for-use).
-    fn durability_json(&self, state: &State) -> Option<Json> {
-        let cache = self.shared.cache.stats();
-        let journal_on = self.shared.journal.is_some();
-        let dir_on = self.shared.cache.dir().is_some();
-        if !journal_on && !dir_on && !self.shared.breaker_configured {
-            return None;
-        }
-        let mut fields = vec![
-            (
-                "poisoned_jobs".to_owned(),
-                Json::Num(state.counters.poisoned as f64),
-            ),
-            ("shed".to_owned(), Json::Num(state.counters.shed as f64)),
-            (
-                "worker_restarts".to_owned(),
-                Json::Num(state.worker_restarts as f64),
-            ),
-        ];
-        if journal_on {
-            fields.push((
-                "journal".to_owned(),
-                Json::obj([
-                    ("reenqueued".to_owned(), Json::Num(state.reenqueued as f64)),
-                    (
-                        "replayed_jobs".to_owned(),
-                        Json::Num(state.replayed_jobs as f64),
-                    ),
-                ]),
-            ));
-        }
-        if dir_on {
-            fields.push((
-                "cache_dir".to_owned(),
-                Json::obj([
-                    ("corrupt".to_owned(), Json::Num(cache.corrupt as f64)),
-                    ("loaded".to_owned(), Json::Num(cache.loaded as f64)),
-                ]),
-            ));
-        }
-        if let Some(breaker) = &state.breaker {
-            fields.push((
-                "breaker".to_owned(),
-                Json::obj([
-                    (
-                        "state".to_owned(),
-                        Json::Str(breaker.state().as_str().to_owned()),
-                    ),
-                    (
-                        "transitions".to_owned(),
-                        Json::Num(breaker.transitions() as f64),
-                    ),
-                ]),
-            ));
-        }
-        Some(Json::obj(fields))
+        );
+        self.sample_table(&state, &mut |path, _, sample| {
+            if !path.is_empty() {
+                insert_at(&mut doc, path, sample.to_json());
+            }
+        });
+        Json::Obj(doc)
     }
 
     /// The `/metrics` exposition body: the live request/latency registry
-    /// plus series synthesized from the scheduler's own counters and
-    /// gauges, rendered per the `foldic-serve-metrics/1` contract
-    /// documented in [`crate::telemetry`]. Durability families appear
-    /// only when the corresponding feature is configured.
+    /// plus every row of the scheduler's counter table that has a series,
+    /// rendered per the `foldic-serve-metrics/1` contract documented in
+    /// [`crate::telemetry`].
     pub fn metrics_text(&self) -> String {
         self.shared.telemetry.ingest();
         let mut snap = self.shared.telemetry.registry().snapshot();
-        let cache = self.shared.cache.stats();
-        let (counters, queued, high_water, running, supervision, reserved, reserved_peak) = {
-            let state = self.lock();
-            (
-                Counters {
-                    submitted: state.counters.submitted,
-                    completed: state.counters.completed,
-                    failed: state.counters.failed,
-                    cancelled: state.counters.cancelled,
-                    rejected: state.counters.rejected,
-                    shed: state.counters.shed,
-                    poisoned: state.counters.poisoned,
-                    mem_shed: state.counters.mem_shed,
-                    oversized: state.counters.oversized,
-                },
-                state.queued,
-                state.queue_high_water,
-                state.running,
-                (
-                    state.worker_restarts,
-                    state.replayed_jobs,
-                    state.reenqueued,
-                    state.breaker.as_ref().map(|b| (b.state(), b.transitions())),
-                ),
-                state.reserved,
-                state.reserved_peak,
-            )
-        };
-        let m = &mut snap.metrics;
-        let counter = |v: u64| Metric::Counter(v);
-        let gauge = |v: f64| Metric::Gauge(v);
-        m.insert(
-            telemetry::jobs_state_series("done"),
-            counter(counters.completed),
-        );
-        m.insert(
-            telemetry::jobs_state_series("failed"),
-            counter(counters.failed),
-        );
-        m.insert(
-            telemetry::jobs_state_series("cancelled"),
-            counter(counters.cancelled),
-        );
-        m.insert(
-            telemetry::SERIES_JOBS_SUBMITTED.to_owned(),
-            counter(counters.submitted),
-        );
-        m.insert(
-            telemetry::SERIES_JOBS_REJECTED.to_owned(),
-            counter(counters.rejected),
-        );
-        m.insert(telemetry::SERIES_CACHE_HITS.to_owned(), counter(cache.hits));
-        m.insert(
-            telemetry::SERIES_CACHE_MISSES.to_owned(),
-            counter(cache.misses),
-        );
-        m.insert(
-            telemetry::SERIES_CACHE_INSERTIONS.to_owned(),
-            counter(cache.insertions),
-        );
-        m.insert(telemetry::SERIES_CACHE_EVICTIONS.to_owned(), counter(0));
-        m.insert(
-            "foldic_serve_cache_entries".to_owned(),
-            gauge(cache.entries as f64),
-        );
-        m.insert("foldic_serve_queue_depth".to_owned(), gauge(queued as f64));
-        m.insert(
-            "foldic_serve_queue_high_water".to_owned(),
-            gauge(high_water as f64),
-        );
-        m.insert(
-            "foldic_serve_queue_capacity".to_owned(),
-            gauge(self.shared.cfg.queue_capacity as f64),
-        );
-        m.insert(
-            "foldic_serve_workers".to_owned(),
-            gauge(self.shared.cfg.workers as f64),
-        );
-        m.insert(
-            "foldic_serve_workers_busy".to_owned(),
-            gauge(running as f64),
-        );
-        m.insert(
-            "foldic_serve_uptime_seconds".to_owned(),
-            gauge(self.shared.telemetry.uptime_secs() as f64),
-        );
-        let (worker_restarts, replayed_jobs, reenqueued, breaker) = supervision;
-        let durable = self.shared.journal.is_some()
-            || self.shared.cache.dir().is_some()
-            || self.shared.breaker_configured;
-        if durable {
-            m.insert(
-                telemetry::SERIES_JOBS_SHED.to_owned(),
-                counter(counters.shed),
-            );
-            m.insert(
-                telemetry::SERIES_JOBS_POISONED.to_owned(),
-                counter(counters.poisoned),
-            );
-            m.insert(
-                telemetry::SERIES_WORKER_RESTARTS.to_owned(),
-                counter(worker_restarts),
-            );
-        }
-        if self.shared.journal.is_some() {
-            m.insert(
-                telemetry::SERIES_JOURNAL_REPLAYED.to_owned(),
-                counter(replayed_jobs),
-            );
-            m.insert(
-                telemetry::SERIES_JOURNAL_REENQUEUED.to_owned(),
-                counter(reenqueued),
-            );
-        }
-        if self.shared.cache.dir().is_some() {
-            m.insert(
-                telemetry::SERIES_CACHE_LOADED.to_owned(),
-                counter(cache.loaded),
-            );
-            m.insert(
-                telemetry::SERIES_CACHE_CORRUPT.to_owned(),
-                counter(cache.corrupt),
-            );
-        }
-        if let Some((breaker_state, transitions)) = breaker {
-            m.insert(
-                telemetry::SERIES_BREAKER_STATE.to_owned(),
-                gauge(match breaker_state {
-                    foldic_fault::supervise::BreakerState::Closed => 0.0,
-                    foldic_fault::supervise::BreakerState::HalfOpen => 1.0,
-                    foldic_fault::supervise::BreakerState::Open => 2.0,
-                }),
-            );
-            m.insert(
-                telemetry::SERIES_BREAKER_TRANSITIONS.to_owned(),
-                counter(transitions),
-            );
-        }
-        if let Some(limit) = self.shared.cfg.mem_limit {
-            m.insert(telemetry::SERIES_MEM_LIMIT.to_owned(), gauge(limit as f64));
-            m.insert(
-                telemetry::SERIES_MEM_RESERVED.to_owned(),
-                gauge(reserved as f64),
-            );
-            m.insert(
-                telemetry::SERIES_MEM_RESERVED_PEAK.to_owned(),
-                gauge(reserved_peak as f64),
-            );
-            m.insert(
-                telemetry::SERIES_JOBS_OVERSIZED.to_owned(),
-                counter(counters.oversized),
-            );
-            m.insert(
-                telemetry::SERIES_JOBS_MEM_SHED.to_owned(),
-                counter(counters.mem_shed),
-            );
-        }
+        self.sample_table(&self.lock(), &mut |_, series, sample| {
+            let metric = match sample {
+                Sample::Counter(n) => Metric::Counter(n),
+                Sample::Gauge(v) => Metric::Gauge(v),
+                Sample::Text(_) => return,
+            };
+            if !series.is_empty() {
+                snap.metrics.insert(series.to_owned(), metric);
+            }
+        });
         foldic_obs::expo::to_prometheus(&snap)
+    }
+
+    /// The one table `/stats` and `/metrics` both render. Each row is
+    /// `(stats path, metrics series, value)`, the path dotted
+    /// (`queue.depth`): an empty path marks a `/metrics`-only row, an
+    /// empty series a `/stats`-only one. The caller holds the state lock,
+    /// and the cache counters are read under it too (the lock order
+    /// `submit` uses), so a submission's cache hit is never seen apart
+    /// from its job counts. Each pay-for-use family is gated once, here:
+    /// `durability` when any of journal, cache directory or breaker is
+    /// configured, `resources` only with a memory limit.
+    fn sample_table(&self, state: &State, row: &mut dyn FnMut(&str, &str, Sample)) {
+        use telemetry::*;
+        use Sample::{Counter, Gauge, Text};
+        let cfg = &self.shared.cfg;
+        let cache = self.shared.cache.stats();
+        let c = &state.counters;
+        let gauge = |v: usize| Gauge(v as f64);
+        row(
+            "queue.depth",
+            "foldic_serve_queue_depth",
+            gauge(state.queued),
+        );
+        row(
+            "queue.capacity",
+            "foldic_serve_queue_capacity",
+            gauge(cfg.queue_capacity),
+        );
+        row(
+            "queue.high_water",
+            "foldic_serve_queue_high_water",
+            gauge(state.queue_high_water),
+        );
+        row("queue.rejected", SERIES_JOBS_REJECTED, Counter(c.rejected));
+        row(
+            "counters.submitted",
+            SERIES_JOBS_SUBMITTED,
+            Counter(c.submitted),
+        );
+        row(
+            "counters.completed",
+            &jobs_state_series("done"),
+            Counter(c.completed),
+        );
+        row(
+            "counters.failed",
+            &jobs_state_series("failed"),
+            Counter(c.failed),
+        );
+        row(
+            "counters.cancelled",
+            &jobs_state_series("cancelled"),
+            Counter(c.cancelled),
+        );
+        row(
+            "cache.entries",
+            "foldic_serve_cache_entries",
+            Gauge(cache.entries as f64),
+        );
+        row("cache.hits", SERIES_CACHE_HITS, Counter(cache.hits));
+        row("cache.misses", SERIES_CACHE_MISSES, Counter(cache.misses));
+        row(
+            "cache.insertions",
+            SERIES_CACHE_INSERTIONS,
+            Counter(cache.insertions),
+        );
+        row("", SERIES_CACHE_EVICTIONS, Counter(0));
+        let uptime = self.shared.telemetry.uptime_secs();
+        row(
+            "uptime_seconds",
+            "foldic_serve_uptime_seconds",
+            Gauge(uptime as f64),
+        );
+        row("workers", "foldic_serve_workers", gauge(cfg.workers));
+        row("", "foldic_serve_workers_busy", gauge(state.running));
+        let journal = self.shared.journal.is_some();
+        let dir = self.shared.cache.dir().is_some();
+        if journal || dir || state.breaker.is_some() {
+            row(
+                "durability.poisoned_jobs",
+                SERIES_JOBS_POISONED,
+                Counter(c.poisoned),
+            );
+            row("durability.shed", SERIES_JOBS_SHED, Counter(c.shed));
+            row(
+                "durability.worker_restarts",
+                SERIES_WORKER_RESTARTS,
+                Counter(state.worker_restarts),
+            );
+        }
+        if journal {
+            row(
+                "durability.journal.replayed_jobs",
+                SERIES_JOURNAL_REPLAYED,
+                Counter(state.replayed_jobs),
+            );
+            row(
+                "durability.journal.reenqueued",
+                SERIES_JOURNAL_REENQUEUED,
+                Counter(state.reenqueued),
+            );
+        }
+        if dir {
+            row(
+                "durability.cache_dir.loaded",
+                SERIES_CACHE_LOADED,
+                Counter(cache.loaded),
+            );
+            row(
+                "durability.cache_dir.corrupt",
+                SERIES_CACHE_CORRUPT,
+                Counter(cache.corrupt),
+            );
+        }
+        if let Some(breaker) = &state.breaker {
+            let breaker_state = breaker.state();
+            let level = match breaker_state {
+                BreakerState::Closed => 0.0,
+                BreakerState::HalfOpen => 1.0,
+                BreakerState::Open => 2.0,
+            };
+            row("durability.breaker.state", "", Text(breaker_state.as_str()));
+            row("", SERIES_BREAKER_STATE, Gauge(level));
+            row(
+                "durability.breaker.transitions",
+                SERIES_BREAKER_TRANSITIONS,
+                Counter(breaker.transitions()),
+            );
+        }
+        if let Some(limit) = cfg.mem_limit {
+            let bytes = |v: u64| Gauge(v as f64);
+            row("resources.limit_bytes", SERIES_MEM_LIMIT, bytes(limit));
+            row(
+                "resources.reserved_bytes",
+                SERIES_MEM_RESERVED,
+                bytes(state.reserved),
+            );
+            row(
+                "resources.reserved_peak_bytes",
+                SERIES_MEM_RESERVED_PEAK,
+                bytes(state.reserved_peak),
+            );
+            row(
+                "resources.oversized",
+                SERIES_JOBS_OVERSIZED,
+                Counter(c.oversized),
+            );
+            row(
+                "resources.mem_shed",
+                SERIES_JOBS_MEM_SHED,
+                Counter(c.mem_shed),
+            );
+        }
     }
 
     /// Drains and stops: no new submissions, queued jobs cancelled (and
@@ -1401,6 +1263,43 @@ impl Scheduler {
             "scheduler.drained",
             vec![field_num("cancelled_queued", drained as f64)],
         );
+    }
+}
+
+/// One value in the scheduler's sample table.
+#[derive(Clone, Copy)]
+enum Sample {
+    Counter(u64),
+    Gauge(f64),
+    /// `/stats`-only text (the breaker's state name).
+    Text(&'static str),
+}
+
+impl Sample {
+    fn to_json(self) -> Json {
+        match self {
+            Sample::Counter(n) => Json::Num(n as f64),
+            Sample::Gauge(v) => Json::Num(v),
+            Sample::Text(s) => Json::Str(s.to_owned()),
+        }
+    }
+}
+
+/// Stores `value` at the dotted `path` in a nested JSON object,
+/// creating sections on the way.
+fn insert_at(doc: &mut BTreeMap<String, Json>, path: &str, value: Json) {
+    match path.split_once('.') {
+        None => {
+            doc.insert(path.to_owned(), value);
+        }
+        Some((section, rest)) => {
+            let inner = doc
+                .entry(section.to_owned())
+                .or_insert_with(|| Json::Obj(BTreeMap::new()));
+            if let Json::Obj(inner) = inner {
+                insert_at(inner, rest, value);
+            }
+        }
     }
 }
 
@@ -2158,6 +2057,366 @@ mod tests {
         // pay-for-use: without durability there is no durability section
         assert!(stats.get("durability").is_none());
         sched.shutdown();
+    }
+
+    /// [`EchoRunner`] whose `hold` jobs block until [`HoldRunner::release`],
+    /// so a test can keep the single worker busy while it cancels a
+    /// queued job.
+    #[derive(Default)]
+    struct HoldRunner {
+        released: Mutex<bool>,
+        cv: Condvar,
+    }
+    impl HoldRunner {
+        fn release(&self) {
+            *self.released.lock().unwrap() = true;
+            self.cv.notify_all();
+        }
+    }
+    impl StudyRunner for HoldRunner {
+        fn resolve(&self, spec: &JobSpec) -> Result<BTreeMap<String, String>, String> {
+            EchoRunner.resolve(spec)
+        }
+        fn run(&self, spec: &JobSpec) -> Result<String, String> {
+            if spec.experiments.iter().any(|e| e == "hold") {
+                let mut released = self.released.lock().unwrap();
+                while !*released {
+                    released = self.cv.wait(released).unwrap();
+                }
+            }
+            EchoRunner.run(spec)
+        }
+    }
+
+    /// Drives one fixed sequential history through a one-worker
+    /// scheduler — a miss, a hit, a cancel behind a held job, and a
+    /// duplicate idempotency key — and returns `/stats` (compact, without
+    /// `uptime_seconds`) and `/metrics` (without uptime and the timing
+    /// histograms).
+    fn pinned_documents(cfg: SchedulerConfig, durability: Durability) -> (String, String) {
+        let runner = Arc::new(HoldRunner::default());
+        let sched =
+            Scheduler::with_durability(runner.clone(), cfg, Telemetry::disabled(), durability);
+        let done = |id| {
+            assert_eq!(
+                sched.wait_terminal(id, Duration::from_secs(10)),
+                Some(JobState::Done)
+            );
+        };
+        let Submission::Queued { id } = sched.submit(spec(&["table1"])) else {
+            panic!("first submission must miss");
+        };
+        done(id);
+        assert!(matches!(
+            sched.submit(spec(&["table1"])),
+            Submission::Hit { .. }
+        ));
+        let Submission::Queued { id: held } = sched.submit(spec(&["hold"])) else {
+            panic!("hold queues");
+        };
+        while sched.status(held).unwrap().state != JobState::Running {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let Submission::Queued { id } = sched.submit(spec(&["table2"])) else {
+            panic!("queues behind the held job");
+        };
+        // A full ledger sheds this one under `mem_limit`; elsewhere it
+        // queues and is cancelled too.
+        match sched.submit(spec(&["table4"])) {
+            Submission::Queued { id } => assert_eq!(sched.cancel(id), Some(JobState::Cancelled)),
+            Submission::Shed { .. } => assert!(cfg.mem_limit.is_some()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(sched.cancel(id), Some(JobState::Cancelled));
+        runner.release();
+        done(held);
+        // Oversized under `mem_limit`: runs alone, stays out of the cache.
+        let mut full = spec(&["table5"]);
+        full.size = "full".to_owned();
+        let Submission::Queued { id } = sched.submit(full) else {
+            panic!("full-size submission queues");
+        };
+        done(id);
+        let keyed = || {
+            let ctx = SubmitCtx {
+                request_id: "req-pin".to_owned(),
+                parent_span: None,
+                idempotency_key: Some("idem-pin".to_owned()),
+            };
+            sched.submit_traced(spec(&["table3"]), Some(ctx))
+        };
+        let Submission::Queued { id } = keyed() else {
+            panic!("keyed submission queues");
+        };
+        done(id);
+        assert_eq!(keyed(), Submission::Duplicate { id });
+
+        let mut stats = sched.stats_json();
+        stats.as_obj_mut().unwrap().remove("uptime_seconds");
+        let metrics = foldic_obs::expo::filter_exposition(&sched.metrics_text(), &|series| {
+            ![
+                "foldic_serve_uptime_seconds",
+                "foldic_serve_request_latency_ms",
+                "foldic_serve_job_wait_ms",
+                "foldic_serve_job_run_ms",
+            ]
+            .contains(&foldic_obs::expo::family_of(series))
+        });
+        sched.shutdown();
+        (stats.to_compact(), metrics)
+    }
+
+    /// `/stats` path ↔ `/metrics` series for every counter both
+    /// documents carry.
+    const PAIRED: &[(&[&str], &str)] = &[
+        (&["queue", "depth"], "foldic_serve_queue_depth"),
+        (&["queue", "capacity"], "foldic_serve_queue_capacity"),
+        (&["queue", "high_water"], "foldic_serve_queue_high_water"),
+        (&["queue", "rejected"], "foldic_serve_jobs_rejected_total"),
+        (
+            &["counters", "submitted"],
+            "foldic_serve_jobs_submitted_total",
+        ),
+        (
+            &["counters", "completed"],
+            "foldic_serve_jobs_total{state=\"done\"}",
+        ),
+        (
+            &["counters", "failed"],
+            "foldic_serve_jobs_total{state=\"failed\"}",
+        ),
+        (
+            &["counters", "cancelled"],
+            "foldic_serve_jobs_total{state=\"cancelled\"}",
+        ),
+        (&["cache", "entries"], "foldic_serve_cache_entries"),
+        (&["cache", "hits"], "foldic_serve_cache_hits_total"),
+        (&["cache", "misses"], "foldic_serve_cache_misses_total"),
+        (
+            &["cache", "insertions"],
+            "foldic_serve_cache_insertions_total",
+        ),
+        (&["workers"], "foldic_serve_workers"),
+        (&["durability", "shed"], "foldic_serve_jobs_shed_total"),
+        (
+            &["durability", "poisoned_jobs"],
+            "foldic_serve_jobs_poisoned_total",
+        ),
+        (
+            &["durability", "worker_restarts"],
+            "foldic_serve_worker_restarts_total",
+        ),
+        (
+            &["durability", "journal", "replayed_jobs"],
+            "foldic_serve_journal_replayed_jobs_total",
+        ),
+        (
+            &["durability", "journal", "reenqueued"],
+            "foldic_serve_journal_reenqueued_total",
+        ),
+        (
+            &["durability", "cache_dir", "loaded"],
+            "foldic_serve_cache_loaded_total",
+        ),
+        (
+            &["durability", "cache_dir", "corrupt"],
+            "foldic_serve_cache_corrupt_total",
+        ),
+        (
+            &["durability", "breaker", "transitions"],
+            "foldic_serve_breaker_transitions_total",
+        ),
+        (
+            &["resources", "limit_bytes"],
+            "foldic_serve_mem_limit_bytes",
+        ),
+        (
+            &["resources", "reserved_bytes"],
+            "foldic_serve_mem_reserved_bytes",
+        ),
+        (
+            &["resources", "reserved_peak_bytes"],
+            "foldic_serve_mem_reserved_peak_bytes",
+        ),
+        (
+            &["resources", "oversized"],
+            "foldic_serve_jobs_oversized_total",
+        ),
+        (
+            &["resources", "mem_shed"],
+            "foldic_serve_jobs_mem_shed_total",
+        ),
+    ];
+
+    /// Every paired row is present in both documents or in neither, and
+    /// agrees in value.
+    fn assert_paired_rows_agree(stats: &str, metrics: &str) {
+        let stats = Json::parse(stats).unwrap();
+        let samples = foldic_obs::expo::parse_exposition(metrics).unwrap();
+        for (path, series) in PAIRED {
+            let value = path
+                .iter()
+                .try_fold(&stats, |doc, key| doc.get(key))
+                .and_then(Json::as_f64);
+            assert_eq!(value, samples.get(*series).copied(), "{path:?} vs {series}");
+        }
+    }
+
+    const PLAIN_STATS: &str = r#"{"cache":{"entries":4,"hits":1,"insertions":4,"misses":6},"counters":{"cancelled":2,"completed":5,"failed":0,"submitted":7},"jobs":{"cancelled":2,"done":5,"failed":0,"queued":0,"running":0},"queue":{"capacity":64,"depth":0,"high_water":2,"rejected":0},"schema":"foldic-serve-stats/1","workers":1}"#;
+    const PLAIN_METRICS: &str = r#"# TYPE foldic_serve_cache_entries gauge
+foldic_serve_cache_entries 4
+# TYPE foldic_serve_cache_evictions_total counter
+foldic_serve_cache_evictions_total 0
+# TYPE foldic_serve_cache_hits_total counter
+foldic_serve_cache_hits_total 1
+# TYPE foldic_serve_cache_insertions_total counter
+foldic_serve_cache_insertions_total 4
+# TYPE foldic_serve_cache_misses_total counter
+foldic_serve_cache_misses_total 6
+# TYPE foldic_serve_jobs_rejected_total counter
+foldic_serve_jobs_rejected_total 0
+# TYPE foldic_serve_jobs_submitted_total counter
+foldic_serve_jobs_submitted_total 7
+# TYPE foldic_serve_jobs_total counter
+foldic_serve_jobs_total{state="cancelled"} 2
+foldic_serve_jobs_total{state="done"} 5
+foldic_serve_jobs_total{state="failed"} 0
+# TYPE foldic_serve_queue_capacity gauge
+foldic_serve_queue_capacity 64
+# TYPE foldic_serve_queue_depth gauge
+foldic_serve_queue_depth 0
+# TYPE foldic_serve_queue_high_water gauge
+foldic_serve_queue_high_water 2
+# TYPE foldic_serve_workers gauge
+foldic_serve_workers 1
+# TYPE foldic_serve_workers_busy gauge
+foldic_serve_workers_busy 0
+"#;
+    const DURABLE_STATS: &str = r#"{"cache":{"entries":4,"hits":1,"insertions":4,"misses":6},"counters":{"cancelled":2,"completed":5,"failed":0,"submitted":7},"durability":{"breaker":{"state":"closed","transitions":0},"cache_dir":{"corrupt":0,"loaded":0},"journal":{"reenqueued":0,"replayed_jobs":0},"poisoned_jobs":0,"shed":0,"worker_restarts":0},"jobs":{"cancelled":2,"done":5,"failed":0,"queued":0,"running":0},"queue":{"capacity":64,"depth":0,"high_water":2,"rejected":0},"schema":"foldic-serve-stats/1","workers":1}"#;
+    const DURABLE_METRICS: &str = r#"# TYPE foldic_serve_breaker_state gauge
+foldic_serve_breaker_state 0
+# TYPE foldic_serve_breaker_transitions_total counter
+foldic_serve_breaker_transitions_total 0
+# TYPE foldic_serve_cache_corrupt_total counter
+foldic_serve_cache_corrupt_total 0
+# TYPE foldic_serve_cache_entries gauge
+foldic_serve_cache_entries 4
+# TYPE foldic_serve_cache_evictions_total counter
+foldic_serve_cache_evictions_total 0
+# TYPE foldic_serve_cache_hits_total counter
+foldic_serve_cache_hits_total 1
+# TYPE foldic_serve_cache_insertions_total counter
+foldic_serve_cache_insertions_total 4
+# TYPE foldic_serve_cache_loaded_total counter
+foldic_serve_cache_loaded_total 0
+# TYPE foldic_serve_cache_misses_total counter
+foldic_serve_cache_misses_total 6
+# TYPE foldic_serve_jobs_poisoned_total counter
+foldic_serve_jobs_poisoned_total 0
+# TYPE foldic_serve_jobs_rejected_total counter
+foldic_serve_jobs_rejected_total 0
+# TYPE foldic_serve_jobs_shed_total counter
+foldic_serve_jobs_shed_total 0
+# TYPE foldic_serve_jobs_submitted_total counter
+foldic_serve_jobs_submitted_total 7
+# TYPE foldic_serve_jobs_total counter
+foldic_serve_jobs_total{state="cancelled"} 2
+foldic_serve_jobs_total{state="done"} 5
+foldic_serve_jobs_total{state="failed"} 0
+# TYPE foldic_serve_journal_reenqueued_total counter
+foldic_serve_journal_reenqueued_total 0
+# TYPE foldic_serve_journal_replayed_jobs_total counter
+foldic_serve_journal_replayed_jobs_total 0
+# TYPE foldic_serve_queue_capacity gauge
+foldic_serve_queue_capacity 64
+# TYPE foldic_serve_queue_depth gauge
+foldic_serve_queue_depth 0
+# TYPE foldic_serve_queue_high_water gauge
+foldic_serve_queue_high_water 2
+# TYPE foldic_serve_worker_restarts_total counter
+foldic_serve_worker_restarts_total 0
+# TYPE foldic_serve_workers gauge
+foldic_serve_workers 1
+# TYPE foldic_serve_workers_busy gauge
+foldic_serve_workers_busy 0
+"#;
+    const MEM_STATS: &str = r#"{"cache":{"entries":3,"hits":1,"insertions":3,"misses":6},"counters":{"cancelled":1,"completed":5,"failed":0,"submitted":6},"jobs":{"cancelled":1,"done":5,"failed":0,"queued":0,"running":0},"queue":{"capacity":64,"depth":0,"high_water":1,"rejected":0},"resources":{"limit_bytes":10485760,"mem_shed":1,"oversized":1,"reserved_bytes":0,"reserved_peak_bytes":10485760},"schema":"foldic-serve-stats/1","workers":1}"#;
+    const MEM_METRICS: &str = r#"# TYPE foldic_serve_cache_entries gauge
+foldic_serve_cache_entries 3
+# TYPE foldic_serve_cache_evictions_total counter
+foldic_serve_cache_evictions_total 0
+# TYPE foldic_serve_cache_hits_total counter
+foldic_serve_cache_hits_total 1
+# TYPE foldic_serve_cache_insertions_total counter
+foldic_serve_cache_insertions_total 3
+# TYPE foldic_serve_cache_misses_total counter
+foldic_serve_cache_misses_total 6
+# TYPE foldic_serve_jobs_mem_shed_total counter
+foldic_serve_jobs_mem_shed_total 1
+# TYPE foldic_serve_jobs_oversized_total counter
+foldic_serve_jobs_oversized_total 1
+# TYPE foldic_serve_jobs_rejected_total counter
+foldic_serve_jobs_rejected_total 0
+# TYPE foldic_serve_jobs_submitted_total counter
+foldic_serve_jobs_submitted_total 6
+# TYPE foldic_serve_jobs_total counter
+foldic_serve_jobs_total{state="cancelled"} 1
+foldic_serve_jobs_total{state="done"} 5
+foldic_serve_jobs_total{state="failed"} 0
+# TYPE foldic_serve_mem_limit_bytes gauge
+foldic_serve_mem_limit_bytes 10485760
+# TYPE foldic_serve_mem_reserved_bytes gauge
+foldic_serve_mem_reserved_bytes 0
+# TYPE foldic_serve_mem_reserved_peak_bytes gauge
+foldic_serve_mem_reserved_peak_bytes 10485760
+# TYPE foldic_serve_queue_capacity gauge
+foldic_serve_queue_capacity 64
+# TYPE foldic_serve_queue_depth gauge
+foldic_serve_queue_depth 0
+# TYPE foldic_serve_queue_high_water gauge
+foldic_serve_queue_high_water 1
+# TYPE foldic_serve_workers gauge
+foldic_serve_workers 1
+# TYPE foldic_serve_workers_busy gauge
+foldic_serve_workers_busy 0
+"#;
+
+    #[test]
+    fn stats_and_metrics_documents_are_pinned() {
+        let cfg = SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        };
+        let (stats, metrics) = pinned_documents(cfg, Durability::default());
+        assert_eq!(stats, PLAIN_STATS);
+        assert_eq!(metrics, PLAIN_METRICS);
+        assert_paired_rows_agree(&stats, &metrics);
+
+        let journal = tmp("queue-pinned");
+        let cache_dir = journal.with_extension("cache");
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let (j, replay) = Journal::open(&journal).unwrap();
+        let durability = Durability {
+            journal: Some((j, replay)),
+            cache: ResultCache::with_dir(&cache_dir).unwrap(),
+            breaker: Some(BreakerConfig::default()),
+        };
+        let (stats, metrics) = pinned_documents(cfg, durability);
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        assert_eq!(stats, DURABLE_STATS);
+        assert_eq!(metrics, DURABLE_METRICS);
+        assert_paired_rows_agree(&stats, &metrics);
+
+        let cfg = SchedulerConfig {
+            mem_limit: Some(10 << 20),
+            ..cfg
+        };
+        let (stats, metrics) = pinned_documents(cfg, Durability::default());
+        assert_eq!(stats, MEM_STATS);
+        assert_eq!(metrics, MEM_METRICS);
+        assert_paired_rows_agree(&stats, &metrics);
     }
 
     #[test]

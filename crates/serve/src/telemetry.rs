@@ -6,7 +6,11 @@
 //! # Series contract (`foldic-serve-metrics/1`)
 //!
 //! `GET /metrics` renders one [`foldic_obs::metrics::Snapshot`] through
-//! [`foldic_obs::expo`]. Every series is prefixed `foldic_serve_`:
+//! [`foldic_obs::expo`]: the request/latency registry plus the
+//! scheduler's counter table, read under the state lock. `GET /stats`
+//! ([`crate::queue::Scheduler::stats_json`]) is the JSON view of that
+//! same table, nested by section, so a counter both documents carry
+//! never disagrees. Every series is prefixed `foldic_serve_`:
 //!
 //! | Series | Kind | Notes |
 //! |---|---|---|
