@@ -43,8 +43,8 @@
 //! blocks while keeping the output byte-identical.
 //!
 //! `repro bench` times the hot kernels (sequence-pair packing at
-//! n = 14/46/128, one SA temperature step, one quadratic-system solve)
-//! with the built-in median-of-samples harness; `--json` writes a
+//! n = 14/46/128, one SA temperature step, one quadratic-system solve,
+//! chip TSV planning, one whole-block optimization) with the built-in median-of-samples harness; `--json` writes a
 //! `foldic-kernel-bench/1` document for the CI gate and the perf
 //! trajectory baseline (`BENCH_kernels.json`).
 //!

@@ -1,22 +1,26 @@
 //! Kernel microbenchmarks behind `repro bench`.
 //!
-//! Times the three hot kernels of the flow — sequence-pair packing (the
-//! SA inner loop), one SA temperature step, and one quadratic-system
-//! solve — with the same built-in harness the `cargo bench` targets use
-//! (fixed sample count, median/min/max; Criterion is a registry
-//! dependency and this workspace is offline-first). `--json` emits a
-//! `foldic-kernel-bench/1` document so CI can gate on the run completing
-//! with well-formed output; wall-time thresholds are deliberately not
-//! enforced (the reference container has one core and shares it).
+//! Times the hot kernels of the flow — sequence-pair packing (the SA
+//! inner loop), one SA temperature step, one quadratic-system solve,
+//! chip TSV planning, and one whole-block optimization — with the same
+//! built-in harness the `cargo bench` targets use (fixed sample count,
+//! median/min/max; Criterion is a registry dependency and this workspace
+//! is offline-first). `--json` emits a `foldic-kernel-bench/1` document
+//! so CI can gate on the run completing with well-formed output;
+//! wall-time thresholds are deliberately not enforced (the reference
+//! container has one core and shares it).
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
 use foldic_floorplan::seqpair::{anneal_floorplan, FpBlock, Packer, SaConfig, SeqPair};
+use foldic_floorplan::{floorplan_t2, plan_chip_tsvs, FloorplanStyle};
 use foldic_obs::json::Json;
-use foldic_place::QuadraticSystem;
+use foldic_opt::{optimize_block, OptConfig};
+use foldic_place::{place_block, PlacerConfig, QuadraticSystem};
 use foldic_t2::T2Config;
+use foldic_timing::TimingBudgets;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,10 +52,8 @@ fn time_kernel(
     iters: u64,
     mut f: impl FnMut(),
 ) -> Option<KernelResult> {
-    if let Some(pat) = filter {
-        if !name.contains(pat.as_str()) {
-            return None;
-        }
+    if !selected(filter, name) {
+        return None;
     }
     let mut run = || {
         for _ in 0..iters {
@@ -75,6 +77,13 @@ fn time_kernel(
         samples: SAMPLES,
         iters,
     })
+}
+
+/// `true` when `name` matches `filter` (substring; `None` = all).
+fn selected(filter: &Option<String>, name: &str) -> bool {
+    filter
+        .as_ref()
+        .is_none_or(|pat| name.contains(pat.as_str()))
 }
 
 /// Deterministic random blocks for the packing kernels (dims in the range
@@ -105,7 +114,7 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
     let mut push = |r: Option<KernelResult>| {
         if let Some(r) = r {
             println!(
-                "{:<24} median {:>10.3} ms   min {:>10.3} ms   max {:>10.3} ms   ({} iters/sample)",
+                "{:<26} median {:>10.3} ms   min {:>10.3} ms   max {:>10.3} ms   ({} iters/sample)",
                 r.name, r.median_ms, r.min_ms, r.max_ms, r.iters
             );
             results.push(r);
@@ -164,11 +173,48 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
         }));
     }
 
+    // Chip TSV planning for the small core/cache stack: the serial step
+    // every 3D full-chip run pays before its block flows start.
+    if selected(filter, "tsv_plan_core_cache_small") {
+        let (mut design, tech) = T2Config::small().generate();
+        let plan = floorplan_t2(&mut design, FloorplanStyle::CoreCache, &tech);
+        push(time_kernel(filter, "tsv_plan_core_cache_small", 1, || {
+            black_box(plan_chip_tsvs(&design, plan.die, &tech));
+        }));
+    }
+
+    // The whole optimizer (buffering, sizing rounds with STA between
+    // them) on the tiny T2's placed l2t0 block; each iteration starts
+    // from a fresh copy of the placed netlist.
+    if selected(filter, "opt_block_l2t") {
+        let (design, tech) = T2Config::tiny().generate();
+        let l2t = design
+            .find_block("l2t0")
+            .map(|id| design.block(id))
+            .unwrap_or_else(|| {
+                eprintln!("tiny T2 design lost its l2t0 block");
+                std::process::exit(2);
+            });
+        let mut placed = l2t.netlist.clone();
+        if let Err(e) = place_block(&mut placed, &tech, l2t.outline, &PlacerConfig::fast()) {
+            eprintln!("placing l2t0 failed: {e}");
+            std::process::exit(2);
+        }
+        let budgets = TimingBudgets::relaxed(&placed, &tech);
+        let cfg = OptConfig::default();
+        push(time_kernel(filter, "opt_block_l2t", 1, || {
+            let mut nl = placed.clone();
+            black_box(optimize_block(&mut nl, &tech, &budgets, &cfg).ok());
+        }));
+    }
+
     results
 }
 
-/// Serializes results as a `foldic-kernel-bench/1` document.
+/// Serializes results as a `foldic-kernel-bench/1` document, with the
+/// core count of the machine that took them.
 pub fn to_json(results: &[KernelResult]) -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let kernels: BTreeMap<String, Json> = results
         .iter()
         .map(|r| {
@@ -189,6 +235,7 @@ pub fn to_json(results: &[KernelResult]) -> Json {
             "schema".to_owned(),
             Json::Str("foldic-kernel-bench/1".to_owned()),
         ),
+        ("cores".to_owned(), Json::Num(cores as f64)),
         ("kernels".to_owned(), Json::Obj(kernels)),
     ])
 }

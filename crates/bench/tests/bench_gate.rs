@@ -44,6 +44,8 @@ fn bench_json_is_well_formed_and_complete() {
         "pack_n128",
         "sa_temp_step_n46",
         "quadratic_solve_l2t",
+        "tsv_plan_core_cache_small",
+        "opt_block_l2t",
     ] {
         let k = kernels
             .get(name)

@@ -16,7 +16,11 @@
 //!
 //! After block placement, [`plan_chip_tsvs`] places one TSV per cross-die
 //! chip net in the whitespace between blocks ("TSV arrays are treated as
-//! additional blocks … all TSVs can be placed outside blocks only").
+//! additional blocks … all TSVs can be placed outside blocks only"). It
+//! rasterizes the blocks once into a grid of free TSV-pitch sites, then,
+//! net by net, walks the perimeters of square rings around the port
+//! midpoint and claims the first free site; a claimed site stops being
+//! free.
 //!
 //! # Examples
 //!
@@ -94,27 +98,21 @@ pub fn floorplan_t2(design: &mut Design, style: FloorplanStyle, tech: &Technolog
 /// The ideal spot is the midpoint between the two ports; sites are on the
 /// TSV pitch grid, must lie inside the die and outside every block rect on
 /// either tier, and cannot be shared. Returns the chosen positions in
-/// cross-die-net order.
+/// cross-die-net order; a net whose search finds no free site gets no
+/// TSV.
 pub fn plan_chip_tsvs(design: &Design, die: Rect, tech: &Technology) -> Vec<Point> {
-    let pitch = tech.tsv.pitch_um;
     let blocks: Vec<Rect> = design.blocks().map(|(_, b)| b.chip_rect()).collect();
-    let cols = (die.width() / pitch).floor() as i64;
-    let rows = (die.height() / pitch).floor() as i64;
-    let site = |c: i64, r: i64| {
-        Point::new(
-            die.llx + (c as f64 + 0.5) * pitch,
-            die.lly + (r as f64 + 0.5) * pitch,
-        )
-    };
-    let legal = |c: i64, r: i64| {
-        if c < 0 || r < 0 || c >= cols || r >= rows {
-            return false;
-        }
-        let p = site(c, r);
-        !blocks.iter().any(|b| b.contains(p))
-    };
-    let mut occupied = std::collections::HashSet::new();
-    let mut tsvs = Vec::new();
+    plan_sites(
+        die,
+        tech.tsv.pitch_um,
+        &blocks,
+        &cross_die_midpoints(design),
+    )
+}
+
+/// The port midpoint of every cross-die chip net, in chip-net order.
+fn cross_die_midpoints(design: &Design) -> Vec<Point> {
+    let mut mids = Vec::new();
     for net in design.chip_nets() {
         let mut cross = false;
         let mut mid = Point::ORIGIN;
@@ -134,28 +132,105 @@ pub fn plan_chip_tsvs(design: &Design, die: Rect, tech: &Technology) -> Vec<Poin
                 _ => {}
             }
         }
-        if !cross {
-            continue;
+        if cross {
+            mids.push(mid * (1.0 / n));
         }
-        let mid = mid * (1.0 / n);
-        let c0 = ((mid.x - die.llx) / pitch).floor() as i64;
-        let r0 = ((mid.y - die.lly) / pitch).floor() as i64;
-        'search: for ring in 0..cols.max(rows).max(1) {
-            for dc in -ring..=ring {
-                for dr in -ring..=ring {
-                    if dc.abs() != ring && dr.abs() != ring {
-                        continue;
-                    }
-                    let (c, r) = (c0 + dc, r0 + dr);
-                    if legal(c, r) && occupied.insert((c, r)) {
-                        tsvs.push(site(c, r));
-                        break 'search;
+    }
+    mids
+}
+
+/// Claims the nearest free site for each midpoint in turn.
+fn plan_sites(die: Rect, pitch: f64, blocks: &[Rect], mids: &[Point]) -> Vec<Point> {
+    let mut grid = SiteGrid::new(die, pitch, blocks);
+    mids.iter()
+        .filter_map(|&mid| grid.claim_nearest(mid))
+        .collect()
+}
+
+/// The TSV pitch grid over the die with one flag per site: free means
+/// inside the die, outside every block rect, and not yet claimed.
+struct SiteGrid {
+    die: Rect,
+    pitch: f64,
+    cols: i64,
+    rows: i64,
+    /// Row-major, `r * cols + c`.
+    free: Vec<bool>,
+}
+
+impl SiteGrid {
+    fn new(die: Rect, pitch: f64, blocks: &[Rect]) -> Self {
+        let cols = (die.width() / pitch).floor() as i64;
+        let rows = (die.height() / pitch).floor() as i64;
+        let mut grid = Self {
+            die,
+            pitch,
+            cols,
+            rows,
+            free: vec![true; (cols.max(0) * rows.max(0)) as usize],
+        };
+        // Rasterize each block over its site span padded by a site on
+        // each side, then decide every site in it with the exact
+        // `Rect::contains` test, so rounding in the span cannot matter.
+        for b in blocks {
+            let span = |lo: f64, hi: f64, origin: f64, n: i64| {
+                let first = ((lo - origin) / pitch - 1.5).floor().max(0.0);
+                let end = ((hi - origin) / pitch + 1.5).ceil().min(n.max(0) as f64);
+                first as i64..end as i64
+            };
+            for r in span(b.lly, b.ury, die.lly, rows) {
+                for c in span(b.llx, b.urx, die.llx, cols) {
+                    if b.contains(grid.site(c, r)) {
+                        grid.free[(r * cols + c) as usize] = false;
                     }
                 }
             }
         }
+        grid
     }
-    tsvs
+
+    fn site(&self, c: i64, r: i64) -> Point {
+        Point::new(
+            self.die.llx + (c as f64 + 0.5) * self.pitch,
+            self.die.lly + (r as f64 + 0.5) * self.pitch,
+        )
+    }
+
+    /// Claims site `(c, r)` if it is on the grid and free.
+    fn claim(&mut self, c: i64, r: i64) -> Option<Point> {
+        if c < 0 || r < 0 || c >= self.cols || r >= self.rows {
+            return None;
+        }
+        let flag = &mut self.free[(r * self.cols + c) as usize];
+        if !std::mem::replace(flag, false) {
+            return None;
+        }
+        Some(self.site(c, r))
+    }
+
+    /// Searches square rings around the site under `mid` and claims the
+    /// first free site. Each ring visits only its perimeter, in the order
+    /// of a column-major sweep of the full square: `dc` ascending, and in
+    /// each column `dr` ascending.
+    fn claim_nearest(&mut self, mid: Point) -> Option<Point> {
+        let c0 = ((mid.x - self.die.llx) / self.pitch).floor() as i64;
+        let r0 = ((mid.y - self.die.lly) / self.pitch).floor() as i64;
+        for ring in 0..self.cols.max(self.rows).max(1) {
+            for dc in -ring..=ring {
+                let c = c0 + dc;
+                let found = if dc.abs() == ring {
+                    (-ring..=ring).find_map(|dr| self.claim(c, r0 + dr))
+                } else {
+                    self.claim(c, r0 - ring)
+                        .or_else(|| self.claim(c, r0 + ring))
+                };
+                if found.is_some() {
+                    return found;
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Total inter-block wirelength in µm: for every chip net, the Manhattan
@@ -196,6 +271,8 @@ pub fn interblock_wirelength_um(design: &Design, plan: &ChipPlan) -> f64 {
 mod tests {
     use super::*;
     use foldic_t2::T2Config;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn planned(style: FloorplanStyle) -> (Design, Technology, ChipPlan) {
         let (mut design, tech) = T2Config::tiny().generate();
@@ -308,5 +385,229 @@ mod tests {
         let wl2 = interblock_wirelength_um(&d2, &p2);
         let wl3 = interblock_wirelength_um(&d3, &p3);
         assert!(wl3 < wl2, "3D inter-block WL {wl3} must beat 2D {wl2}");
+    }
+
+    // ---- legal-site grid vs full-square oracle ------------------------------
+
+    /// The search [`SiteGrid`] replaced, kept as the oracle: ring `r`
+    /// loops over all (2r+1)² cells and skips the interior, each site is
+    /// tested against every block rect, and claimed sites live in a set.
+    fn plan_sites_full_square(
+        die: Rect,
+        pitch: f64,
+        blocks: &[Rect],
+        mids: &[Point],
+    ) -> Vec<Point> {
+        let cols = (die.width() / pitch).floor() as i64;
+        let rows = (die.height() / pitch).floor() as i64;
+        let site = |c: i64, r: i64| {
+            Point::new(
+                die.llx + (c as f64 + 0.5) * pitch,
+                die.lly + (r as f64 + 0.5) * pitch,
+            )
+        };
+        let legal = |c: i64, r: i64| {
+            if c < 0 || r < 0 || c >= cols || r >= rows {
+                return false;
+            }
+            let p = site(c, r);
+            !blocks.iter().any(|b| b.contains(p))
+        };
+        let mut occupied = std::collections::HashSet::new();
+        let mut tsvs = Vec::new();
+        for &mid in mids {
+            let c0 = ((mid.x - die.llx) / pitch).floor() as i64;
+            let r0 = ((mid.y - die.lly) / pitch).floor() as i64;
+            'search: for ring in 0..cols.max(rows).max(1) {
+                for dc in -ring..=ring {
+                    for dr in -ring..=ring {
+                        if dc.abs() != ring && dr.abs() != ring {
+                            continue;
+                        }
+                        let (c, r) = (c0 + dc, r0 + dr);
+                        if legal(c, r) && occupied.insert((c, r)) {
+                            tsvs.push(site(c, r));
+                            break 'search;
+                        }
+                    }
+                }
+            }
+        }
+        tsvs
+    }
+
+    fn bits(pts: &[Point]) -> Vec<(u64, u64)> {
+        pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    fn fuzz_seed() -> u64 {
+        std::env::var("FOLDIC_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xDAC1_4F00D)
+    }
+
+    /// A random block rect for a die of `cols × rows` sites. Kinds: edges
+    /// exactly on site centres, touching the previous block, overhanging
+    /// the die, and free-floating inside it.
+    fn random_block(rng: &mut StdRng, die: Rect, pitch: f64, prev: Option<Rect>) -> Rect {
+        let cols = (die.width() / pitch).floor() as i64;
+        let rows = (die.height() / pitch).floor() as i64;
+        // the exact site-centre expression, so edges hit centres bit for bit
+        let cx = |k: i64| die.llx + (k as f64 + 0.5) * pitch;
+        let cy = |k: i64| die.lly + (k as f64 + 0.5) * pitch;
+        let span = |rng: &mut StdRng, n: i64| {
+            let a = rng.gen_range(-2..n.max(0) + 2);
+            (a, a + rng.gen_range(0..4i64))
+        };
+        match (rng.gen_range(0..4u32), prev) {
+            (0, _) => {
+                let (c1, c2) = span(rng, cols);
+                let (r1, r2) = span(rng, rows);
+                Rect::new(cx(c1), cy(r1), cx(c2), cy(r2))
+            }
+            (1, Some(p)) => {
+                // shares the previous block's right edge
+                let w = rng.gen::<f64>() * 3.0 * pitch;
+                Rect::new(p.urx, p.lly, p.urx + w, p.ury)
+            }
+            (2, _) => {
+                // straddles a die corner
+                let w = rng.gen::<f64>() * 4.0 * pitch + pitch;
+                let h = rng.gen::<f64>() * 4.0 * pitch + pitch;
+                let x = if rng.gen_bool(0.5) { die.llx } else { die.urx };
+                let y = if rng.gen_bool(0.5) { die.lly } else { die.ury };
+                Rect::centered(Point::new(x, y), w, h)
+            }
+            _ => {
+                let x = die.llx + rng.gen::<f64>() * die.width();
+                let y = die.lly + rng.gen::<f64>() * die.height();
+                let w = rng.gen::<f64>() * die.width() * 0.5;
+                let h = rng.gen::<f64>() * die.height() * 0.5;
+                Rect::new(x, y, x + w, y + h)
+            }
+        }
+    }
+
+    /// 2k seeded random dies, block sets and chip-net midpoints: the grid
+    /// search must return the oracle's sites bit for bit. Covers site
+    /// centres exactly on block edges, touching and overhanging blocks,
+    /// clustered midpoints (repeated and jittered), midpoints outside the
+    /// die, dies with no legal site, full grids and 0×N grids.
+    #[test]
+    fn site_grid_matches_full_square_oracle_bitwise() {
+        const ITERS: usize = 2_000;
+        let mut rng = StdRng::seed_from_u64(fuzz_seed() ^ 0x75f);
+        let (mut empty_grids, mut on_edge, mut unplaced) = (0, 0, 0);
+        for iter in 0..ITERS {
+            let pitch = if rng.gen_bool(0.5) {
+                7.0
+            } else {
+                rng.gen_range(3.0..10.0)
+            };
+            let (w, h) = match iter % 10 {
+                // a side shorter than one pitch: a 0×N (or N×0) grid
+                0 => (rng.gen::<f64>() * pitch * 0.99, rng.gen_range(0.0..90.0)),
+                1 => (rng.gen_range(0.0..90.0), rng.gen::<f64>() * pitch * 0.99),
+                // a few sites only, so the grid fills up
+                2 => (
+                    rng.gen_range(0.0..4.0) * pitch,
+                    rng.gen_range(0.0..4.0) * pitch,
+                ),
+                _ => (rng.gen_range(0.0..90.0), rng.gen_range(0.0..90.0)),
+            };
+            let (llx, lly) = (rng.gen_range(-40.0..40.0), rng.gen_range(-40.0..40.0));
+            let die = Rect::new(llx, lly, llx + w, lly + h);
+            let mut blocks: Vec<Rect> = Vec::new();
+            for _ in 0..rng.gen_range(0..10) {
+                let prev = blocks.last().copied();
+                blocks.push(random_block(&mut rng, die, pitch, prev));
+            }
+            if iter % 25 == 3 {
+                // one block covering the whole die: no legal site at all
+                blocks.push(die.inflated(rng.gen::<f64>() * pitch));
+            }
+            let centres: Vec<Point> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    Point::new(
+                        die.llx - 10.0 + rng.gen::<f64>() * (die.width() + 20.0),
+                        die.lly - 10.0 + rng.gen::<f64>() * (die.height() + 20.0),
+                    )
+                })
+                .collect();
+            let mids: Vec<Point> = (0..rng.gen_range(0..60))
+                .map(|_| {
+                    let c = centres[rng.gen_range(0..centres.len())];
+                    match rng.gen_range(0..3u32) {
+                        0 => c,
+                        1 => Point::new(
+                            c.x + rng.gen_range(-1.0..1.0) * pitch,
+                            c.y + rng.gen_range(-1.0..1.0) * pitch,
+                        ),
+                        _ => Point::new(
+                            die.llx + rng.gen::<f64>() * die.width(),
+                            die.lly + rng.gen::<f64>() * die.height(),
+                        ),
+                    }
+                })
+                .collect();
+
+            let want = plan_sites_full_square(die, pitch, &blocks, &mids);
+            let got = plan_sites(die, pitch, &blocks, &mids);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "iter {iter}: die {die} pitch {pitch}"
+            );
+
+            let grid = SiteGrid::new(die, pitch, &blocks);
+            if grid.free.is_empty() {
+                empty_grids += 1;
+            }
+            let edge_hit = (0..grid.cols.max(0)).any(|c| {
+                (0..grid.rows.max(0)).any(|r| {
+                    let p = grid.site(c, r);
+                    blocks
+                        .iter()
+                        .any(|b| b.contains(p) && (p.x == b.llx || p.x == b.urx || p.y == b.lly))
+                })
+            });
+            on_edge += usize::from(edge_hit);
+            unplaced += usize::from(want.len() < mids.len());
+        }
+        assert!(empty_grids > 100, "only {empty_grids} 0×N grids");
+        assert!(
+            on_edge > 100,
+            "only {on_edge} cases with a site on a block edge"
+        );
+        assert!(
+            unplaced > 100,
+            "only {unplaced} cases where a net got no TSV"
+        );
+    }
+
+    /// The folded-style path: `run_fullchip` re-plans chip TSVs on the 2D
+    /// arrangement once a fold exposes ports on both tiers.
+    #[test]
+    fn folded_design_replan_matches_the_oracle() {
+        let (mut design, tech) = T2Config::tiny().generate();
+        let id = design.find_block("ccx").unwrap();
+        let _ = foldic::fold_block(
+            design.block_mut(id),
+            &tech,
+            &foldic::FoldConfig {
+                strategy: foldic::FoldStrategy::NaturalGroups(vec!["pcx".into()]),
+                bonding: foldic_tech::BondingStyle::FaceToFace,
+                placer: foldic_place::PlacerConfig::fast(),
+                ..foldic::FoldConfig::default()
+            },
+        );
+        let plan = floorplan_t2(&mut design, FloorplanStyle::Flat2d, &tech);
+        let got = plan_chip_tsvs(&design, plan.die, &tech);
+        let blocks: Vec<Rect> = design.blocks().map(|(_, b)| b.chip_rect()).collect();
+        let mids = cross_die_midpoints(&design);
+        let want = plan_sites_full_square(plan.die, tech.tsv.pitch_um, &blocks, &mids);
+        assert!(!want.is_empty());
+        assert_eq!(bits(&got), bits(&want));
     }
 }

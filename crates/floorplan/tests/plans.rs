@@ -103,4 +103,48 @@ fn folded_blocks_expose_ports_on_both_tiers_to_the_planner() {
         !tsvs.is_empty(),
         "folded CCX ports on the top die must require chip-level 3D connections"
     );
+    // the folded-style re-plan of `run_fullchip`, pinned like the styles
+    // in `tsv_plans_match_pinned_digests`
+    assert_eq!(tsvs.len(), 528);
+    assert_eq!(tsv_digest(&tsvs), 0x5dacf19fe66b0610);
+}
+
+/// FNV-1a over the TSV count and every position's bits.
+fn tsv_digest(tsvs: &[foldic_geom::Point]) -> u64 {
+    tsvs.iter().fold(
+        rand::fnv1a(rand::FNV1A_BASIS, &(tsvs.len() as u64).to_le_bytes()),
+        |h, p| {
+            let h = rand::fnv1a(h, &p.x.to_bits().to_le_bytes());
+            rand::fnv1a(h, &p.y.to_bits().to_le_bytes())
+        },
+    )
+}
+
+/// TSV plans of every style at tiny and small, pinned by count and
+/// digest. Captured from the full-square ring search the legal-site grid
+/// replaced; any change to the site order, the legality test or the
+/// claim rule moves at least one digest.
+#[test]
+fn tsv_plans_match_pinned_digests() {
+    let want = [
+        ("tiny", FloorplanStyle::Flat2d, 0, 0xa8c7f832281a39c5),
+        ("tiny", FloorplanStyle::CoreCache, 728, 0xa96c5c315b3851f9),
+        ("tiny", FloorplanStyle::CoreCore, 1521, 0x5ba13e389415648a),
+        ("small", FloorplanStyle::Flat2d, 0, 0xa8c7f832281a39c5),
+        ("small", FloorplanStyle::CoreCache, 1248, 0x4eb497d97fef4992),
+        ("small", FloorplanStyle::CoreCore, 2627, 0x2107beb997a78e41),
+    ];
+    for label in ["tiny", "small"] {
+        let (design, tech) = T2Config::from_label(label).unwrap().generate();
+        for &(_, style, count, digest) in want.iter().filter(|w| w.0 == label) {
+            let mut d = design.clone();
+            let plan = floorplan_t2(&mut d, style, &tech);
+            assert_eq!(plan.tsvs.len(), count, "{label} {style:?}: TSV count");
+            assert_eq!(
+                tsv_digest(&plan.tsvs),
+                digest,
+                "{label} {style:?}: TSV positions drifted"
+            );
+        }
+    }
 }

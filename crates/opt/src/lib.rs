@@ -243,15 +243,14 @@ pub fn insert_buffers(
 fn sta(
     netlist: &Netlist,
     tech: &Technology,
+    wiring: &BlockWiring,
     budgets: &TimingBudgets,
     cfg: &OptConfig,
-    vias: Option<&ViaPlacement>,
 ) -> Result<TimingReport, FlowError> {
-    let wiring = BlockWiring::analyze(netlist, tech, cfg.detour, vias)?;
     analyze(
         netlist,
         tech,
-        &wiring,
+        wiring,
         budgets,
         &StaConfig {
             max_layer: cfg.max_layer,
@@ -454,8 +453,14 @@ pub fn optimize_block_with_vias(
         }
     };
 
+    // Sizing and Vth moves below only rewrite `InstMaster`: pin
+    // positions, tiers and the via placement stay fixed, so one wiring
+    // analysis of the buffered netlist serves every STA pass and the
+    // downsizing load estimate (DESIGN §9).
+    let wiring = BlockWiring::analyze(netlist, tech, cfg.detour, vias)?;
+
     // 2. timing recovery rounds
-    let mut report = sta(netlist, tech, budgets, cfg, vias)?;
+    let mut report = sta(netlist, tech, &wiring, budgets, cfg)?;
     stats.rounds += 1;
     note(stats.rounds, report.wns_ps);
     for _ in 0..cfg.rounds {
@@ -466,7 +471,7 @@ pub fn optimize_block_with_vias(
         }
         let up = upsize_critical(netlist, tech, &report);
         stats.upsized += up;
-        report = sta(netlist, tech, budgets, cfg, vias)?;
+        report = sta(netlist, tech, &wiring, budgets, cfg)?;
         stats.rounds += 1;
         note(stats.rounds, report.wns_ps);
         if up == 0 {
@@ -477,10 +482,9 @@ pub fn optimize_block_with_vias(
     // 3. power recovery: downsizing
     for _ in 0..cfg.rounds.min(2) {
         foldic_fault::deadline::poll()?;
-        let wiring = BlockWiring::analyze(netlist, tech, cfg.detour, vias)?;
         let down = downsize_with_slack(netlist, tech, &report, cfg, &wiring);
         stats.downsized += down;
-        report = sta(netlist, tech, budgets, cfg, vias)?;
+        report = sta(netlist, tech, &wiring, budgets, cfg)?;
         stats.rounds += 1;
         note(stats.rounds, report.wns_ps);
         if down == 0 {
@@ -492,7 +496,7 @@ pub fn optimize_block_with_vias(
     //    STA proves critical (two refinement rounds)
     if cfg.dual_vth {
         stats.hvt_swapped = swap_to_hvt(netlist, tech, &report, cfg);
-        report = sta(netlist, tech, budgets, cfg, vias)?;
+        report = sta(netlist, tech, &wiring, budgets, cfg)?;
         stats.rounds += 1;
         note(stats.rounds, report.wns_ps);
         for _ in 0..2 {
@@ -501,7 +505,7 @@ pub fn optimize_block_with_vias(
             }
             let reverted = revert_hvt_on_violations(netlist, tech, &report);
             stats.hvt_swapped = stats.hvt_swapped.saturating_sub(reverted);
-            report = sta(netlist, tech, budgets, cfg, vias)?;
+            report = sta(netlist, tech, &wiring, budgets, cfg)?;
             stats.rounds += 1;
             note(stats.rounds, report.wns_ps);
             if reverted == 0 {
@@ -544,16 +548,27 @@ mod tests {
         assert!(repeater_spacing_um(&tech, 9) > s);
     }
 
+    /// STA of `nl` as it stands, with a fresh wiring analysis.
+    fn fresh_sta(
+        nl: &Netlist,
+        tech: &Technology,
+        budgets: &TimingBudgets,
+        cfg: &OptConfig,
+    ) -> TimingReport {
+        let wiring = BlockWiring::analyze(nl, tech, cfg.detour, None).unwrap();
+        sta(nl, tech, &wiring, budgets, cfg).unwrap()
+    }
+
     #[test]
     fn buffers_reduce_arrival_on_long_nets() {
         let (mut nl, tech) = block("rtx");
         let budgets = TimingBudgets::relaxed(&nl, &tech);
         let cfg = OptConfig::default();
-        let before = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let before = fresh_sta(&nl, &tech, &budgets, &cfg);
         let added = insert_buffers(&mut nl, &tech, &cfg, None).unwrap();
         assert!(added > 0, "RTX has long nets to buffer");
         nl.check().expect("buffering must keep the netlist sound");
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = fresh_sta(&nl, &tech, &budgets, &cfg);
         assert!(
             after.max_arrival_ps < before.max_arrival_ps,
             "{} -> {}",
@@ -567,10 +582,10 @@ mod tests {
         let (mut nl, tech) = block("l2t0");
         let budgets = TimingBudgets::relaxed(&nl, &tech);
         let cfg = OptConfig::default();
-        let before = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let before = fresh_sta(&nl, &tech, &budgets, &cfg);
         let stats = optimize_block(&mut nl, &tech, &budgets, &cfg).unwrap();
         assert!(stats.rounds >= 1);
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = fresh_sta(&nl, &tech, &budgets, &cfg);
         assert!(after.tns_ps <= before.tns_ps);
         nl.check().expect("netlist stays sound");
     }
@@ -595,11 +610,11 @@ mod tests {
         cfg.dual_vth = false;
         optimize_block(&mut nl, &tech, &budgets, &cfg).unwrap();
         let leak_before = leak(&nl);
-        let report = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let report = fresh_sta(&nl, &tech, &budgets, &cfg);
         let swapped = swap_to_hvt(&mut nl, &tech, &report, &cfg);
         assert!(swapped > 0);
         assert!(leak(&nl) < leak_before);
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = fresh_sta(&nl, &tech, &budgets, &cfg);
         assert!(
             after.violations <= report.violations,
             "wns {}",
@@ -612,14 +627,107 @@ mod tests {
         let (mut nl, tech) = block("ccu");
         let budgets = TimingBudgets::relaxed(&nl, &tech);
         let cfg = OptConfig::default();
-        let report = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
         let wiring = BlockWiring::analyze(&nl, &tech, cfg.detour, None).unwrap();
+        let report = sta(&nl, &tech, &wiring, &budgets, &cfg).unwrap();
         let down = downsize_with_slack(&mut nl, &tech, &report, &cfg, &wiring);
         // after downsizing the block must still meet timing
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = sta(&nl, &tech, &wiring, &budgets, &cfg).unwrap();
         assert!(
             after.violations <= report.violations,
             "downsize moves {down}"
         );
+    }
+
+    /// `true` when two analyses agree to the bit: total, census and every
+    /// per-net length and sink path.
+    fn same_wiring(a: &BlockWiring, b: &BlockWiring) -> bool {
+        a.total_um.to_bits() == b.total_um.to_bits()
+            && a.long_wires == b.long_wires
+            && a.num_3d == b.num_3d
+            && a.nets.len() == b.nets.len()
+            && a.nets.iter().zip(&b.nets).all(|(x, y)| {
+                x.net == y.net
+                    && x.is_3d == y.is_3d
+                    && x.length_um.to_bits() == y.length_um.to_bits()
+                    && x.sink_paths.len() == y.sink_paths.len()
+                    && x.sink_paths
+                        .iter()
+                        .zip(&y.sink_paths)
+                        .all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+    }
+
+    /// A report that marks every third instance violated and gives every
+    /// other one ample slack, so each sizing pass has moves to make.
+    fn mixed_report(nl: &Netlist, violated_ps: f64) -> TimingReport {
+        let slack_ps: Vec<f64> = (0..nl.num_insts())
+            .map(|i| if i % 3 == 0 { violated_ps } else { 1_000.0 })
+            .collect();
+        TimingReport {
+            arrival_ps: vec![0.0; nl.num_insts()],
+            slack_ps,
+            wns_ps: violated_ps,
+            tns_ps: violated_ps,
+            violations: 1,
+            endpoints: 1,
+            max_arrival_ps: 0.0,
+        }
+    }
+
+    /// Applies every sizing and Vth pass to `nl` and asserts that none of
+    /// them changes the wiring analysis — the invariant that lets
+    /// [`optimize_block_with_vias`] analyze once per call.
+    fn assert_sizing_keeps_wiring(
+        nl: &mut Netlist,
+        tech: &Technology,
+        vias: Option<&ViaPlacement>,
+    ) {
+        let cfg = OptConfig::default();
+        let base = BlockWiring::analyze(nl, tech, cfg.detour, vias).unwrap();
+        let check = |nl: &Netlist, pass: &str, moves: usize| {
+            assert!(moves > 0, "{pass} made no moves: the check is vacuous");
+            let again = BlockWiring::analyze(nl, tech, cfg.detour, vias).unwrap();
+            assert!(same_wiring(&base, &again), "{pass} changed the wiring");
+        };
+        let report = mixed_report(nl, -50.0);
+        let moves = upsize_critical(nl, tech, &report);
+        check(nl, "upsize_critical", moves);
+        let moves = downsize_with_slack(nl, tech, &report, &cfg, &base);
+        check(nl, "downsize_with_slack", moves);
+        let moves = swap_to_hvt(nl, tech, &report, &cfg);
+        check(nl, "swap_to_hvt", moves);
+        let all_violated = TimingReport {
+            slack_ps: vec![-50.0; nl.num_insts()],
+            ..report
+        };
+        let moves = revert_hvt_on_violations(nl, tech, &all_violated);
+        check(nl, "revert_hvt_on_violations", moves);
+    }
+
+    #[test]
+    fn sizing_passes_never_change_the_wiring() {
+        let (mut nl, tech) = block("ccu");
+        insert_buffers(&mut nl, &tech, &OptConfig::default(), None).unwrap();
+        assert_sizing_keeps_wiring(&mut nl, &tech, None);
+    }
+
+    #[test]
+    fn sizing_passes_never_change_the_wiring_of_a_folded_block() {
+        let (design, tech) = T2Config::tiny().generate();
+        let b = design.block(design.find_block("ccu").unwrap());
+        let (mut nl, outline) = (b.netlist.clone(), b.outline);
+        // fold the left half of the cells onto the top die
+        let mid_x = outline.center().x;
+        let ids: Vec<InstId> = nl.inst_ids().collect();
+        for id in ids {
+            if nl.inst(id).pos.x < mid_x {
+                nl.inst_mut(id).tier = foldic_geom::Tier::Top;
+            }
+        }
+        let vias =
+            foldic_route::place_vias(&nl, &tech, outline, foldic_tech::BondingStyle::FaceToFace)
+                .unwrap();
+        assert!(!vias.is_empty(), "the fold must cut some nets");
+        assert_sizing_keeps_wiring(&mut nl, &tech, Some(&vias));
     }
 }
