@@ -9,12 +9,12 @@ use crate::metrics::DesignMetrics;
 use foldic_fault::deadline::stage_scope;
 use foldic_fault::{fault_point, FlowError, FlowStage};
 use foldic_netlist::{Block, InstMaster, Netlist};
-use foldic_opt::{optimize_block_with_vias, OptConfig, OptStats};
+use foldic_opt::{optimize_block_signoff, OptConfig, OptStats, Optimized};
 use foldic_place::{place_block, PlacerConfig};
 use foldic_power::{analyze_block, PowerConfig};
 use foldic_route::{BlockWiring, ViaPlacement};
 use foldic_tech::{BondingStyle, CellKind, RoutingPolicy, Technology, VthClass};
-use foldic_timing::{analyze, StaConfig, TimingBudgets};
+use foldic_timing::TimingBudgets;
 
 /// Configuration of the block flow.
 #[derive(Debug, Clone)]
@@ -188,40 +188,32 @@ pub fn run_block_flow(
     opt_cfg.max_layer = max_layer;
     opt_cfg.via_kind = None;
     opt_cfg.dual_vth = cfg.dual_vth;
-    let opt = {
+    let Optimized {
+        stats: opt,
+        wiring,
+        report,
+    } = {
         let _scope = stage_scope(FlowStage::Opt, &name, attempt)?;
         fault_point(FlowStage::Opt, &name, attempt)?;
         foldic_exec::profile::stage("opt", || {
-            optimize_block_with_vias(&mut block.netlist, tech, budgets, &opt_cfg, None)
+            optimize_block_signoff(&mut block.netlist, tech, budgets, &opt_cfg, None)
         })
         .map_err(|e| e.with_block(&name))?
     };
 
-    // 3. sign-off
+    // 3. sign-off: opt already analyzed the final wiring (same netlist,
+    //    detour and no vias) and ran the final STA (same `StaConfig`), so
+    //    the stages reuse both bit for bit (DESIGN §9); their timeout
+    //    scopes and fault points stay
     let wiring = {
         let _scope = stage_scope(FlowStage::Route, &name, attempt)?;
         fault_point(FlowStage::Route, &name, attempt)?;
-        foldic_exec::profile::stage("route", || {
-            BlockWiring::analyze(&block.netlist, tech, opt_cfg.detour, None)
-        })
-        .map_err(|e| e.with_block(&name))?
+        foldic_exec::profile::stage("route", || wiring)
     };
     let sta = {
         let _scope = stage_scope(FlowStage::Sta, &name, attempt)?;
         fault_point(FlowStage::Sta, &name, attempt)?;
-        foldic_exec::profile::stage("sta", || {
-            analyze(
-                &block.netlist,
-                tech,
-                &wiring,
-                budgets,
-                &StaConfig {
-                    max_layer,
-                    via_kind: None,
-                },
-            )
-        })
-        .map_err(|e| e.with_block(&name))?
+        foldic_exec::profile::stage("sta", || report)
     };
     let mut pw_cfg = PowerConfig::for_block(block);
     pw_cfg.max_layer = max_layer;

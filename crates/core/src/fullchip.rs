@@ -664,6 +664,7 @@ pub fn run_fullchip(
             let via = tsv_iter
                 .next()
                 .copied()
+                .flatten()
                 .unwrap_or_else(|| pts[0].0.midpoint(pts[pts.len() - 1].0));
             let mut len = 0.0;
             for &(p, _) in &pts {
@@ -785,6 +786,7 @@ pub fn assign_port_positions(design: &mut Design, plan: &ChipPlan) {
             let via = tsv_iter
                 .next()
                 .copied()
+                .flatten()
                 .unwrap_or_else(|| pts[0].2.midpoint(pts[pts.len() - 1].2));
             for &(bid, pid, _, _) in &pts {
                 moves.push((bid, pid, via, true));
@@ -860,6 +862,7 @@ pub fn chip_budgets(
             let via = tsv_iter
                 .next()
                 .copied()
+                .flatten()
                 .unwrap_or_else(|| pts[0].0.midpoint(pts[pts.len() - 1].0));
             pts.iter().map(|&(p, _)| p.manhattan(via)).sum::<f64>()
         } else {

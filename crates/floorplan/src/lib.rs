@@ -20,7 +20,8 @@
 //! rasterizes the blocks once into a grid of free TSV-pitch sites, then,
 //! net by net, walks the perimeters of square rings around the port
 //! midpoint and claims the first free site; a claimed site stops being
-//! free.
+//! free. A net whose search finds no free site keeps a `None` entry, so
+//! the plan stays parallel to the cross-die nets.
 //!
 //! # Examples
 //!
@@ -68,10 +69,11 @@ pub struct ChipPlan {
     pub die: Rect,
     /// Arrangement style.
     pub style: FloorplanStyle,
-    /// Chip-level TSV positions (one per cross-die chip net), empty for
-    /// 2D chips. Parallel to the order of cross-die nets in
-    /// `design.chip_nets()`.
-    pub tsvs: Vec<Point>,
+    /// Chip-level TSV positions, one entry per cross-die chip net in the
+    /// order of `design.chip_nets()`, empty for 2D chips. `None` when the
+    /// net found no free site; its consumers then fall back to a point
+    /// between the net's ports.
+    pub tsvs: Vec<Option<Point>>,
 }
 
 impl ChipPlan {
@@ -97,10 +99,10 @@ pub fn floorplan_t2(design: &mut Design, style: FloorplanStyle, tech: &Technolog
 ///
 /// The ideal spot is the midpoint between the two ports; sites are on the
 /// TSV pitch grid, must lie inside the die and outside every block rect on
-/// either tier, and cannot be shared. Returns the chosen positions in
-/// cross-die-net order; a net whose search finds no free site gets no
-/// TSV.
-pub fn plan_chip_tsvs(design: &Design, die: Rect, tech: &Technology) -> Vec<Point> {
+/// either tier, and cannot be shared. Returns one entry per cross-die net,
+/// in chip-net order: the chosen position, or `None` when the search finds
+/// no free site.
+pub fn plan_chip_tsvs(design: &Design, die: Rect, tech: &Technology) -> Vec<Option<Point>> {
     let blocks: Vec<Rect> = design.blocks().map(|(_, b)| b.chip_rect()).collect();
     plan_sites(
         die,
@@ -140,11 +142,9 @@ fn cross_die_midpoints(design: &Design) -> Vec<Point> {
 }
 
 /// Claims the nearest free site for each midpoint in turn.
-fn plan_sites(die: Rect, pitch: f64, blocks: &[Rect], mids: &[Point]) -> Vec<Point> {
+fn plan_sites(die: Rect, pitch: f64, blocks: &[Rect], mids: &[Point]) -> Vec<Option<Point>> {
     let mut grid = SiteGrid::new(die, pitch, blocks);
-    mids.iter()
-        .filter_map(|&mid| grid.claim_nearest(mid))
-        .collect()
+    mids.iter().map(|&mid| grid.claim_nearest(mid)).collect()
 }
 
 /// The TSV pitch grid over the die with one flag per site: free means
@@ -252,8 +252,8 @@ pub fn interblock_wirelength_um(design: &Design, plan: &ChipPlan) -> f64 {
             .collect();
         let cross = pts.windows(2).any(|w| w[0].1 != w[1].1);
         let len = if cross {
-            let via = tsv_iter.next().copied().unwrap_or_else(|| {
-                // TSV planning ran out of sites; fall back to the midpoint
+            let via = tsv_iter.next().copied().flatten().unwrap_or_else(|| {
+                // the net got no TSV site; fall back to the midpoint
                 pts.iter().fold(Point::ORIGIN, |a, &(p, _)| a + p) * (1.0 / pts.len() as f64)
             });
             pts.iter().map(|&(p, _)| p.manhattan(via)).sum::<f64>()
@@ -351,7 +351,7 @@ mod tests {
     fn tsvs_live_in_whitespace() {
         let (design, _, plan) = planned(FloorplanStyle::CoreCache);
         assert!(!plan.tsvs.is_empty());
-        for &p in &plan.tsvs {
+        for &p in plan.tsvs.iter().flatten() {
             for (_, b) in design.blocks() {
                 assert!(!b.chip_rect().contains(p), "TSV at {p} inside {}", b.name);
             }
@@ -359,7 +359,7 @@ mod tests {
         }
         // distinct sites
         let mut seen = std::collections::HashSet::new();
-        for &p in &plan.tsvs {
+        for &p in plan.tsvs.iter().flatten() {
             assert!(seen.insert((p.x.to_bits(), p.y.to_bits())));
         }
     }
@@ -397,7 +397,7 @@ mod tests {
         pitch: f64,
         blocks: &[Rect],
         mids: &[Point],
-    ) -> Vec<Point> {
+    ) -> Vec<Option<Point>> {
         let cols = (die.width() / pitch).floor() as i64;
         let rows = (die.height() / pitch).floor() as i64;
         let site = |c: i64, r: i64| {
@@ -418,6 +418,7 @@ mod tests {
         for &mid in mids {
             let c0 = ((mid.x - die.llx) / pitch).floor() as i64;
             let r0 = ((mid.y - die.lly) / pitch).floor() as i64;
+            tsvs.push(None);
             'search: for ring in 0..cols.max(rows).max(1) {
                 for dc in -ring..=ring {
                     for dr in -ring..=ring {
@@ -426,7 +427,7 @@ mod tests {
                         }
                         let (c, r) = (c0 + dc, r0 + dr);
                         if legal(c, r) && occupied.insert((c, r)) {
-                            tsvs.push(site(c, r));
+                            *tsvs.last_mut().unwrap() = Some(site(c, r));
                             break 'search;
                         }
                     }
@@ -436,8 +437,10 @@ mod tests {
         tsvs
     }
 
-    fn bits(pts: &[Point]) -> Vec<(u64, u64)> {
-        pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    fn bits(pts: &[Option<Point>]) -> Vec<Option<(u64, u64)>> {
+        pts.iter()
+            .map(|p| p.map(|p| (p.x.to_bits(), p.y.to_bits())))
+            .collect()
     }
 
     fn fuzz_seed() -> u64 {
@@ -573,7 +576,7 @@ mod tests {
                 })
             });
             on_edge += usize::from(edge_hit);
-            unplaced += usize::from(want.len() < mids.len());
+            unplaced += usize::from(want.iter().any(Option::is_none));
         }
         assert!(empty_grids > 100, "only {empty_grids} 0×N grids");
         assert!(

@@ -1,11 +1,13 @@
 //! Floorplan-level invariants across all styles.
 
 use foldic_floorplan::{
-    anneal_floorplan, floorplan_t2, interblock_wirelength_um, plan_chip_tsvs, FloorplanStyle,
-    SaConfig,
+    anneal_floorplan, floorplan_t2, interblock_wirelength_um, plan_chip_tsvs, ChipPlan,
+    FloorplanStyle, SaConfig,
 };
-use foldic_geom::Tier;
+use foldic_geom::{Point, Rect, Tier};
+use foldic_netlist::{Block, BlockKind, ChipNet, ClockDomain, Design, Netlist, PortDir};
 use foldic_t2::T2Config;
+use foldic_tech::Technology;
 
 #[test]
 fn chip_tsv_count_equals_cross_die_nets() {
@@ -109,9 +111,9 @@ fn folded_blocks_expose_ports_on_both_tiers_to_the_planner() {
     assert_eq!(tsv_digest(&tsvs), 0x5dacf19fe66b0610);
 }
 
-/// FNV-1a over the TSV count and every position's bits.
-fn tsv_digest(tsvs: &[foldic_geom::Point]) -> u64 {
-    tsvs.iter().fold(
+/// FNV-1a over the TSV entry count and every placed position's bits.
+fn tsv_digest(tsvs: &[Option<foldic_geom::Point>]) -> u64 {
+    tsvs.iter().flatten().fold(
         rand::fnv1a(rand::FNV1A_BASIS, &(tsvs.len() as u64).to_le_bytes()),
         |h, p| {
             let h = rand::fnv1a(h, &p.x.to_bits().to_le_bytes());
@@ -140,6 +142,10 @@ fn tsv_plans_match_pinned_digests() {
             let mut d = design.clone();
             let plan = floorplan_t2(&mut d, style, &tech);
             assert_eq!(plan.tsvs.len(), count, "{label} {style:?}: TSV count");
+            assert!(
+                plan.tsvs.iter().all(Option::is_some),
+                "{label} {style:?}: a net found no TSV site"
+            );
             assert_eq!(
                 tsv_digest(&plan.tsvs),
                 digest,
@@ -147,4 +153,70 @@ fn tsv_plans_match_pinned_digests() {
             );
         }
     }
+}
+
+/// A cross-die net whose TSV search finds no free site must not hand its
+/// entry to the nets after it: net 0's port midpoint lies far off the
+/// die, so its ring search never reaches a site, while net 1 gets the
+/// site next to its ports and its wirelength runs through that TSV.
+#[test]
+fn a_net_without_a_tsv_site_leaves_later_nets_their_own_tsvs() {
+    let tech = Technology::cmos28();
+    let mut design = Design::new("pairing");
+    // `(net 0 port, net 1 port)` positions per block, block-local
+    let sides = [
+        (
+            "a",
+            Tier::Bottom,
+            PortDir::Output,
+            [Point::new(-10_000.0, 0.0), Point::new(10.0, 2.0)],
+        ),
+        (
+            "b",
+            Tier::Top,
+            PortDir::Input,
+            [Point::new(-10_000.0, 10.0), Point::new(10.0, 8.0)],
+        ),
+    ];
+    let mut ports = Vec::new();
+    for (name, tier, dir, pos) in sides {
+        let mut nl = Netlist::new(name);
+        let pids: Vec<_> = pos
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| {
+                let pid = nl.add_port(format!("p{k}"), dir, ClockDomain::Cpu);
+                nl.port_mut(pid).pos = p;
+                pid
+            })
+            .collect();
+        let mut block = Block::new(name, BlockKind::Mcu, nl, Rect::new(0.0, 0.0, 10.0, 10.0));
+        block.tier = tier;
+        ports.push((design.add_block(block), pids));
+    }
+    for (k, bits) in [(0, 1), (1, 3)] {
+        design.add_chip_net(ChipNet {
+            name: format!("n{k}"),
+            endpoints: ports.iter().map(|(bid, pids)| (*bid, pids[k])).collect(),
+            bits,
+            domain: ClockDomain::Cpu,
+        });
+    }
+    let die = Rect::new(0.0, 0.0, 100.0, 100.0);
+    let plan = ChipPlan {
+        die,
+        style: FloorplanStyle::CoreCache,
+        tsvs: plan_chip_tsvs(&design, die, &tech),
+    };
+    assert_eq!(plan.tsvs.len(), 2, "one entry per cross-die net");
+    assert_eq!(plan.tsvs[0], None, "net 0 cannot reach the die");
+    let tsv = plan.tsvs[1].expect("net 1 has free sites next to its ports");
+    assert!(!design.block(ports[0].0).chip_rect().contains(tsv));
+
+    // net 0 falls back to its port midpoint (5 µm to each port); net 1
+    // runs through its own TSV
+    let net1 = Point::new(10.0, 2.0).manhattan(tsv) + Point::new(10.0, 8.0).manhattan(tsv);
+    let want = 10.0 + 3.0 * net1;
+    let got = interblock_wirelength_um(&design, &plan);
+    assert!((got - want).abs() < 1e-9, "wirelength {got}, want {want}");
 }

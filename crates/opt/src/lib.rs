@@ -23,7 +23,8 @@
 //!    delay).
 //!
 //! [`optimize_block`] chains the passes with STA between them and returns
-//! an [`OptStats`] audit.
+//! an [`OptStats`] audit; [`optimize_block_signoff`] also returns the final
+//! wiring analysis and timing report for the block flow's sign-off.
 //!
 //! # Examples
 //!
@@ -432,6 +433,41 @@ pub fn optimize_block_with_vias(
     cfg: &OptConfig,
     vias: Option<&ViaPlacement>,
 ) -> Result<OptStats, FlowError> {
+    optimize_block_signoff(netlist, tech, budgets, cfg, vias).map(|o| o.stats)
+}
+
+/// What [`optimize_block_signoff`] leaves behind besides the netlist.
+#[derive(Debug, Clone)]
+pub struct Optimized {
+    /// What the optimizer did.
+    pub stats: OptStats,
+    /// Wiring analysis of the optimized netlist (detour `cfg.detour`,
+    /// the given vias).
+    pub wiring: BlockWiring,
+    /// STA of the optimized netlist over `wiring` with
+    /// `StaConfig { max_layer: cfg.max_layer, via_kind: cfg.via_kind }`.
+    pub report: TimingReport,
+}
+
+/// [`optimize_block_with_vias`], also returning the final wiring analysis
+/// and timing report, so a sign-off over the same vias needs neither
+/// again.
+///
+/// Both equal a fresh analysis of the optimized netlist bit for bit:
+/// sizing and Vth moves never change the wiring, and every exit of the
+/// recipe below leaves `report` equal to the STA of the final netlist
+/// (DESIGN §9).
+///
+/// # Errors
+///
+/// See [`optimize_block`].
+pub fn optimize_block_signoff(
+    netlist: &mut Netlist,
+    tech: &Technology,
+    budgets: &TimingBudgets,
+    cfg: &OptConfig,
+    vias: Option<&ViaPlacement>,
+) -> Result<Optimized, FlowError> {
     // 1. repeaters on long wires
     let mut stats = OptStats {
         buffers_added: insert_buffers(netlist, tech, cfg, vias)?,
@@ -525,7 +561,11 @@ pub fn optimize_block_with_vias(
         foldic_obs::metrics::add("opt.rounds", stats.rounds as u64);
         foldic_obs::metrics::observe_all("opt.round_wns_ps", &wns_traj);
     }
-    Ok(stats)
+    Ok(Optimized {
+        stats,
+        wiring,
+        report,
+    })
 }
 
 #[cfg(test)]
@@ -729,5 +769,60 @@ mod tests {
                 .unwrap();
         assert!(!vias.is_empty(), "the fold must cut some nets");
         assert_sizing_keeps_wiring(&mut nl, &tech, Some(&vias));
+    }
+
+    /// `true` when two timing reports agree to the bit.
+    fn same_report(a: &TimingReport, b: &TimingReport) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        a.wns_ps.to_bits() == b.wns_ps.to_bits()
+            && a.tns_ps.to_bits() == b.tns_ps.to_bits()
+            && a.max_arrival_ps.to_bits() == b.max_arrival_ps.to_bits()
+            && (a.violations, a.endpoints) == (b.violations, b.endpoints)
+            && bits(&a.slack_ps) == bits(&b.slack_ps)
+            && bits(&a.arrival_ps) == bits(&b.arrival_ps)
+    }
+
+    /// The wiring and report [`optimize_block_signoff`] returns equal a
+    /// fresh wiring analysis and STA of the optimized netlist bit for bit
+    /// — what lets the block flow's sign-off reuse them. Runs with
+    /// dual-Vth off and on, under relaxed and squeezed budgets (late input
+    /// arrivals), so the recipe leaves its loops met, violated, with and
+    /// without upsizing and after HVT reverts.
+    #[test]
+    fn signoff_results_equal_a_fresh_analysis() {
+        let (design, tech) = T2Config::tiny().generate();
+        let (mut upsized, mut violated, mut met) = (0, 0, 0);
+        for name in ["mcu0", "l2t0", "rtx"] {
+            let b = design.block(design.find_block(name).unwrap());
+            for dual_vth in [false, true] {
+                for squeeze_ps in [0.0, 900.0] {
+                    let mut nl = b.netlist.clone();
+                    let mut budgets = TimingBudgets::relaxed(&nl, &tech);
+                    for a in &mut budgets.input_arrival_ps {
+                        *a += squeeze_ps;
+                    }
+                    let cfg = OptConfig {
+                        dual_vth,
+                        ..Default::default()
+                    };
+                    let out = optimize_block_signoff(&mut nl, &tech, &budgets, &cfg, None).unwrap();
+                    let wiring = BlockWiring::analyze(&nl, &tech, cfg.detour, None).unwrap();
+                    let sta_cfg = StaConfig {
+                        max_layer: cfg.max_layer,
+                        via_kind: None,
+                    };
+                    let report = analyze(&nl, &tech, &wiring, &budgets, &sta_cfg).unwrap();
+                    let case = format!("{name} dual_vth={dual_vth} squeeze={squeeze_ps}");
+                    assert!(same_wiring(&out.wiring, &wiring), "{case}: wiring");
+                    assert!(same_report(&out.report, &report), "{case}: report");
+                    assert_eq!(out.stats.final_wns_ps.to_bits(), report.wns_ps.to_bits());
+                    upsized += out.stats.upsized;
+                    violated += usize::from(!report.met());
+                    met += usize::from(report.met());
+                }
+            }
+        }
+        assert!(upsized > 0, "no upsizing: the timing rounds never ran");
+        assert!(violated > 0 && met > 0, "{violated} violated, {met} met");
     }
 }

@@ -9,6 +9,12 @@
 //! bases, layers the position-dependent star/anchor contributions on top,
 //! and runs CG entirely in scratch buffers owned by the system — zero
 //! allocations after the first solve.
+//!
+//! The x and y systems share the matrix, so one CG loop solves both: the
+//! state is interleaved `[x, y]` per variable, every sweep of the
+//! neighbour list serves both axes, and each axis keeps its own stop
+//! tests, so the result is bit-identical to two separate solves (DESIGN
+//! §9).
 
 use foldic_geom::{Point, Rect};
 use foldic_netlist::{InstId, Netlist, PinRef};
@@ -25,16 +31,83 @@ const FIXED_PIN: u32 = u32::MAX;
 #[derive(Debug, Default)]
 struct SolveScratch {
     diag: Vec<f64>,
-    bx: Vec<f64>,
-    by: Vec<f64>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    anchors: Vec<Point>,
-    // CG work vectors
-    r: Vec<f64>,
-    z: Vec<f64>,
-    dir: Vec<f64>,
-    ap: Vec<f64>,
+    /// Right-hand sides, `[x, y]` per variable.
+    b: Vec<[f64; 2]>,
+    /// Anchor positions in (the initial guess), solution out, `[x, y]`
+    /// per variable.
+    v: Vec<[f64; 2]>,
+    cg: CgWork,
+}
+
+/// CG work vectors, `[x, y]` per variable.
+#[derive(Debug, Default)]
+struct CgWork {
+    r: Vec<[f64; 2]>,
+    z: Vec<[f64; 2]>,
+    dir: Vec<[f64; 2]>,
+    ap: Vec<[f64; 2]>,
+}
+
+/// Clique adjacency in CSR form, structure of arrays: the neighbours of
+/// variable `i` are `col[off[i]..off[i+1]]` with weights `w[..]` at the
+/// same indices, in the exact order the retired `Vec<Vec<…>>` adjacency
+/// pushed them (edge order), so `mat_vec` accumulates in the same order
+/// and stays bit-identical.
+#[derive(Debug, Default)]
+struct Csr {
+    off: Vec<u32>,
+    col: Vec<u32>,
+    w: Vec<f64>,
+}
+
+impl Csr {
+    /// Builds the adjacency of `nv` variables from `(a, b, w)` edges:
+    /// count degrees, prefix-sum, then fill in edge order — reproducing
+    /// the per-node neighbour order of the retired Vec-of-Vecs exactly.
+    fn from_edges(nv: usize, edges: &[(u32, u32, f64)]) -> Self {
+        let mut degree = vec![0u32; nv];
+        for &(a, b, _) in edges {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
+        }
+        let mut off = vec![0u32; nv + 1];
+        for i in 0..nv {
+            off[i + 1] = off[i] + degree[i];
+        }
+        let mut cursor: Vec<u32> = off[..nv].to_vec();
+        let mut col = vec![0; off[nv] as usize];
+        let mut w = vec![0.0; off[nv] as usize];
+        for &(a, b, wt) in edges {
+            for (from, to) in [(a, b), (b, a)] {
+                let k = cursor[from as usize] as usize;
+                col[k] = to;
+                w[k] = wt;
+                cursor[from as usize] += 1;
+            }
+        }
+        Self { off, col, w }
+    }
+
+    /// `out = A·x` for `A = diag − offdiag(self)`, both axes in one sweep
+    /// of the neighbour list. Returns `x·out` per axis, accumulated in
+    /// i-order from `-0.0` like `f64: Sum`.
+    fn mat_vec(&self, diag: &[f64], x: &[[f64; 2]], out: &mut [[f64; 2]]) -> [f64; 2] {
+        let mut dot = [-0.0; 2];
+        for (i, o) in out.iter_mut().enumerate() {
+            let (lo, hi) = (self.off[i] as usize, self.off[i + 1] as usize);
+            let xi = x[i];
+            let mut s = [diag[i] * xi[0], diag[i] * xi[1]];
+            for (&j, &w) in self.col[lo..hi].iter().zip(&self.w[lo..hi]) {
+                let xj = x[j as usize];
+                s[0] -= w * xj[0];
+                s[1] -= w * xj[1];
+            }
+            *o = s;
+            dot[0] += xi[0] * s[0];
+            dot[1] += xi[1] * s[1];
+        }
+        dot
+    }
 }
 
 /// The quadratic placement system: static clique edges plus per-solve
@@ -42,19 +115,14 @@ struct SolveScratch {
 #[derive(Debug)]
 pub struct QuadraticSystem {
     movable: Vec<InstId>,
-    /// CSR offsets into `nbr`: neighbors of variable `i` are
-    /// `nbr[nbr_off[i]..nbr_off[i+1]]`, in the exact order the retired
-    /// `Vec<Vec<…>>` adjacency pushed them (edge order), so the CG
-    /// `mat_vec` accumulates in the same order and stays bit-identical.
-    nbr_off: Vec<u32>,
-    /// Packed `(neighbor, weight)` pairs.
-    nbr: Vec<(u32, f64)>,
+    /// Clique edges between movable instances.
+    nbr: Csr,
     /// Position-independent diagonal: `1e-6` + clique edges + fixed
     /// springs, accumulated at build time in the retired per-solve order.
     base_diag: Vec<f64>,
-    /// Position-independent right-hand sides (fixed-spring pulls).
-    base_bx: Vec<f64>,
-    base_by: Vec<f64>,
+    /// Position-independent right-hand sides (fixed-spring pulls),
+    /// `[x, y]` per variable.
+    base_b: Vec<[f64; 2]>,
     /// Star nets flattened: pins of net `k` are
     /// `star_pins[star_off[k]..star_off[k+1]]`.
     star_off: Vec<u32>,
@@ -131,26 +199,7 @@ impl QuadraticSystem {
             }
         }
         let nv = movable.len();
-        // CSR adjacency: count degrees, prefix-sum, then fill in edge
-        // order — reproducing the per-node neighbor order of the retired
-        // Vec-of-Vecs exactly.
-        let mut degree = vec![0u32; nv];
-        for &(a, b, _) in &edges {
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
-        }
-        let mut nbr_off = vec![0u32; nv + 1];
-        for i in 0..nv {
-            nbr_off[i + 1] = nbr_off[i] + degree[i];
-        }
-        let mut cursor: Vec<u32> = nbr_off[..nv].to_vec();
-        let mut nbr = vec![(0u32, 0.0f64); nbr_off[nv] as usize];
-        for &(a, b, w) in &edges {
-            nbr[cursor[a as usize] as usize] = (b, w);
-            cursor[a as usize] += 1;
-            nbr[cursor[b as usize] as usize] = (a, w);
-            cursor[b as usize] += 1;
-        }
+        let nbr = Csr::from_edges(nv, &edges);
         // Base diagonal and right-hand sides, accumulated in the order the
         // retired per-solve loops used (init, edges, fixed springs) so a
         // solve that copies these bases is bit-identical to one that
@@ -163,19 +212,16 @@ impl QuadraticSystem {
         for &(a, _, w) in &fixed_springs {
             base_diag[a as usize] += w;
         }
-        let mut base_bx = vec![0.0; nv];
-        let mut base_by = vec![0.0; nv];
+        let mut base_b = vec![[0.0; 2]; nv];
         for &(a, p, w) in &fixed_springs {
-            base_bx[a as usize] += w * p.x;
-            base_by[a as usize] += w * p.y;
+            base_b[a as usize][0] += w * p.x;
+            base_b[a as usize][1] += w * p.y;
         }
         Self {
             movable,
-            nbr_off,
             nbr,
             base_diag,
-            base_bx,
-            base_by,
+            base_b,
             star_off,
             star_pins,
             star_var,
@@ -202,11 +248,9 @@ impl QuadraticSystem {
         // are read.
         let Self {
             movable,
-            nbr_off,
             nbr,
             base_diag,
-            base_bx,
-            base_by,
+            base_b,
             star_off,
             star_pins,
             star_var,
@@ -217,13 +261,10 @@ impl QuadraticSystem {
         // Copy the precomputed bases (clique + fixed-spring terms).
         scratch.diag.clear();
         scratch.diag.extend_from_slice(base_diag);
-        scratch.bx.clear();
-        scratch.bx.extend_from_slice(base_bx);
-        scratch.by.clear();
-        scratch.by.extend_from_slice(base_by);
+        scratch.b.clear();
+        scratch.b.extend_from_slice(base_b);
         let diag = &mut scratch.diag;
-        let bx = &mut scratch.bx;
-        let by = &mut scratch.by;
+        let b = &mut scratch.b;
         // Star springs at the current net centroids.
         for k in 0..star_w.len() {
             let lo = star_off[k] as usize;
@@ -237,53 +278,29 @@ impl QuadraticSystem {
             for &a in &star_var[lo..hi] {
                 if a != FIXED_PIN {
                     diag[a as usize] += w;
-                    bx[a as usize] += w * c.x;
-                    by[a as usize] += w * c.y;
+                    b[a as usize][0] += w * c.x;
+                    b[a as usize][1] += w * c.y;
                 }
             }
         }
-        // Spreading anchors at the current (post-equalization) positions.
-        scratch.anchors.clear();
-        scratch
-            .anchors
-            .extend(movable.iter().map(|&id| netlist.inst(id).pos));
-        for (i, p) in scratch.anchors.iter().enumerate() {
+        // Spreading anchors at the current (post-equalization) positions,
+        // which are also the initial guess.
+        scratch.v.clear();
+        scratch.v.extend(movable.iter().map(|&id| {
+            let p = netlist.inst(id).pos;
+            [p.x, p.y]
+        }));
+        for (i, p) in scratch.v.iter().enumerate() {
             diag[i] += anchor_w;
-            bx[i] += anchor_w * p.x;
-            by[i] += anchor_w * p.y;
+            b[i][0] += anchor_w * p[0];
+            b[i][1] += anchor_w * p[1];
         }
-
-        scratch.xs.clear();
-        scratch.xs.extend(scratch.anchors.iter().map(|p| p.x));
-        scratch.ys.clear();
-        scratch.ys.extend(scratch.anchors.iter().map(|p| p.y));
-        cg(
-            nbr_off,
-            nbr,
-            diag,
-            bx,
-            &mut scratch.xs,
-            cg_iters,
-            &mut scratch.r,
-            &mut scratch.z,
-            &mut scratch.dir,
-            &mut scratch.ap,
-        );
-        cg(
-            nbr_off,
-            nbr,
-            diag,
-            by,
-            &mut scratch.ys,
-            cg_iters,
-            &mut scratch.r,
-            &mut scratch.z,
-            &mut scratch.dir,
-            &mut scratch.ap,
-        );
-        for (i, &id) in movable.iter().enumerate() {
-            let p = Point::new(scratch.xs[i], scratch.ys[i]).clamped(outline);
-            netlist.inst_mut(id).pos = if p.is_finite() { p } else { scratch.anchors[i] };
+        cg(nbr, diag, b, &mut scratch.v, cg_iters, &mut scratch.cg);
+        for (&id, &[x, y]) in movable.iter().zip(&scratch.v) {
+            let p = Point::new(x, y).clamped(outline);
+            if p.is_finite() {
+                netlist.inst_mut(id).pos = p;
+            }
         }
         *solves += 1;
         if foldic_obs::metrics::is_enabled() {
@@ -295,69 +312,116 @@ impl QuadraticSystem {
 }
 
 /// Jacobi-preconditioned conjugate gradient for `A v = b` where
-/// `A = diag − offdiag(nbr)` (a weighted Laplacian plus anchors). `v`
-/// holds the initial guess and receives the solution; `r`/`z`/`dir`/`ap`
-/// are caller-owned work vectors resized here.
-#[allow(clippy::too_many_arguments)]
+/// `A = diag − offdiag(nbr)` (a weighted Laplacian plus anchors), on the
+/// x and y axes at once. `v` holds the initial guess and receives the
+/// solution; `work` is resized here.
+///
+/// Each axis runs exactly the arithmetic of a single-axis CG in the same
+/// order (every dot product sums in i-order from `-0.0`) and keeps its
+/// own stop tests; once an axis stops, only its unread `Ap` is written
+/// again. So each axis's result is bit-identical to solving it alone.
 fn cg(
-    nbr_off: &[u32],
-    nbr: &[(u32, f64)],
+    nbr: &Csr,
     diag: &[f64],
-    b: &[f64],
-    v: &mut [f64],
+    b: &[[f64; 2]],
+    v: &mut [[f64; 2]],
     iters: usize,
-    r: &mut Vec<f64>,
-    z: &mut Vec<f64>,
-    dir: &mut Vec<f64>,
-    ap: &mut Vec<f64>,
+    work: &mut CgWork,
 ) {
     let n = v.len();
-    let mat_vec = |v: &[f64], out: &mut [f64]| {
-        for i in 0..n {
-            let mut s = diag[i] * v[i];
-            for &(j, w) in &nbr[nbr_off[i] as usize..nbr_off[i + 1] as usize] {
-                s -= w * v[j as usize];
-            }
-            out[i] = s;
-        }
-    };
+    let CgWork { r, z, dir, ap } = work;
     r.clear();
-    r.resize(n, 0.0);
-    mat_vec(v, r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
+    r.resize(n, [0.0; 2]);
+    nbr.mat_vec(diag, v, r);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = [bi[0] - ri[0], bi[1] - ri[1]];
     }
     z.clear();
-    z.extend(r.iter().zip(diag).map(|(ri, di)| ri / di));
+    z.extend(r.iter().zip(diag).map(|(ri, &d)| [ri[0] / d, ri[1] / d]));
     dir.clear();
     dir.extend_from_slice(z);
-    let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-    ap.clear();
-    ap.resize(n, 0.0);
-    for _ in 0..iters {
-        if rz.abs() < 1e-12 {
-            break;
-        }
-        mat_vec(dir, ap);
-        let pap: f64 = dir.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
-        if pap.abs() < 1e-18 {
-            break;
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            v[i] += alpha * dir[i];
-            r[i] -= alpha * ap[i];
-        }
-        for i in 0..n {
-            z[i] = r[i] / diag[i];
-        }
-        let rz_new: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            dir[i] = z[i] + beta * dir[i];
+    let mut rz = [-0.0; 2];
+    for (ri, zi) in r.iter().zip(z.iter()) {
+        for a in 0..2 {
+            rz[a] += ri[a] * zi[a];
         }
     }
+    ap.clear();
+    ap.resize(n, [0.0; 2]);
+    let mut live = [true; 2];
+    for _ in 0..iters {
+        for a in 0..2 {
+            if rz[a].abs() < 1e-12 {
+                live[a] = false;
+            }
+        }
+        if live == [false; 2] {
+            break;
+        }
+        let pap = nbr.mat_vec(diag, dir, ap);
+        for a in 0..2 {
+            if pap[a].abs() < 1e-18 {
+                live[a] = false;
+            }
+        }
+        let rz_new = match live {
+            [true, true] => cg_step::<true, true>(rz, pap, diag, v, r, z, dir, ap),
+            [true, false] => cg_step::<true, false>(rz, pap, diag, v, r, z, dir, ap),
+            [false, true] => cg_step::<false, true>(rz, pap, diag, v, r, z, dir, ap),
+            [false, false] => break,
+        };
+        for a in 0..2 {
+            if live[a] {
+                rz[a] = rz_new[a];
+            }
+        }
+    }
+}
+
+/// One CG iteration's vector updates on the live axes (`X`, `Y`), given
+/// `rz = r·z` and `pap = dir·Ap`: `v += α·dir`, `r -= α·Ap`, `z = r/diag`
+/// and the new `r·z` in one pass, then `dir = z + β·dir` in a second.
+/// The axes are compile-time flags so the common both-live case runs
+/// without per-element branches.
+#[allow(clippy::too_many_arguments)]
+fn cg_step<const X: bool, const Y: bool>(
+    rz: [f64; 2],
+    pap: [f64; 2],
+    diag: &[f64],
+    v: &mut [[f64; 2]],
+    r: &mut [[f64; 2]],
+    z: &mut [[f64; 2]],
+    dir: &mut [[f64; 2]],
+    ap: &[[f64; 2]],
+) -> [f64; 2] {
+    let live = [X, Y];
+    let alpha = [rz[0] / pap[0], rz[1] / pap[1]];
+    let mut rz_new = [-0.0; 2];
+    for ((((vi, ri), zi), (di, api)), &d) in v
+        .iter_mut()
+        .zip(r.iter_mut())
+        .zip(z.iter_mut())
+        .zip(dir.iter().zip(ap))
+        .zip(diag)
+    {
+        for a in 0..2 {
+            if live[a] {
+                vi[a] += alpha[a] * di[a];
+                ri[a] -= alpha[a] * api[a];
+                zi[a] = ri[a] / d;
+                rz_new[a] += ri[a] * zi[a];
+            }
+        }
+    }
+    let beta = [rz_new[0] / rz[0], rz_new[1] / rz[1]];
+    for (di, zi) in dir.iter_mut().zip(z.iter()) {
+        for a in 0..2 {
+            if live[a] {
+                di[a] = zi[a] + beta[a] * di[a];
+            }
+        }
+    }
+    rz_new
 }
 
 enum Var {
@@ -380,6 +444,8 @@ mod tests {
     use super::*;
     use foldic_netlist::{InstMaster, PortDir};
     use foldic_tech::{CellKind, CellLibrary, Drive, VthClass};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A chain of movable cells between two fixed ports must spread evenly
     /// along the line between the ports (the classic quadratic solution).
@@ -491,5 +557,197 @@ mod tests {
                 warm_nl.name_of(warm_nl.inst(c).name)
             );
         }
+    }
+
+    // ---- fused two-axis CG vs the per-axis oracle ----------------------------
+
+    /// The single-axis solver the fused [`cg`] replaced, kept as its
+    /// oracle: one axis per call, dot products through `f64: Sum`.
+    /// Returns the number of iterations that updated `v`.
+    #[allow(clippy::too_many_arguments)]
+    fn cg_per_axis(
+        nbr: &Csr,
+        diag: &[f64],
+        b: &[f64],
+        v: &mut [f64],
+        iters: usize,
+        r: &mut Vec<f64>,
+        z: &mut Vec<f64>,
+        dir: &mut Vec<f64>,
+        ap: &mut Vec<f64>,
+    ) -> usize {
+        let n = v.len();
+        let mat_vec = |v: &[f64], out: &mut [f64]| {
+            for i in 0..n {
+                let mut s = diag[i] * v[i];
+                let (lo, hi) = (nbr.off[i] as usize, nbr.off[i + 1] as usize);
+                for (&j, &w) in nbr.col[lo..hi].iter().zip(&nbr.w[lo..hi]) {
+                    s -= w * v[j as usize];
+                }
+                out[i] = s;
+            }
+        };
+        r.clear();
+        r.resize(n, 0.0);
+        mat_vec(v, r);
+        for i in 0..n {
+            r[i] = b[i] - r[i];
+        }
+        z.clear();
+        z.extend(r.iter().zip(diag).map(|(ri, di)| ri / di));
+        dir.clear();
+        dir.extend_from_slice(z);
+        let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
+        ap.clear();
+        ap.resize(n, 0.0);
+        let mut done = 0;
+        for _ in 0..iters {
+            if rz.abs() < 1e-12 {
+                break;
+            }
+            mat_vec(dir, ap);
+            let pap: f64 = dir.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
+            if pap.abs() < 1e-18 {
+                break;
+            }
+            let alpha = rz / pap;
+            for i in 0..n {
+                v[i] += alpha * dir[i];
+                r[i] -= alpha * ap[i];
+            }
+            for i in 0..n {
+                z[i] = r[i] / diag[i];
+            }
+            let rz_new: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for i in 0..n {
+                dir[i] = z[i] + beta * dir[i];
+            }
+            done += 1;
+        }
+        done
+    }
+
+    fn fuzz_seed() -> u64 {
+        std::env::var("FOLDIC_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xDAC1_4F00D)
+    }
+
+    /// 2k seeded random Laplacian + anchor systems: the fused solve must
+    /// equal two per-axis oracle solves bit for bit. Covers `n = 1`, an
+    /// axis that starts at its solution (`rz = 0`) and so stops before the
+    /// other, axes that converge after different iteration counts,
+    /// `cg_iters = 0`, and weak or absent anchors.
+    #[test]
+    fn fused_cg_matches_per_axis_oracle_bitwise() {
+        const CASES: usize = 2_000;
+        let mut rng = StdRng::seed_from_u64(fuzz_seed() ^ 0xc6);
+        let (mut singles, mut at_solution, mut zero_iters, mut uneven) = (0, 0, 0, 0);
+        let mut work = CgWork::default();
+        let (mut r, mut z, mut dir, mut ap) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for case in 0..CASES {
+            let n = if case % 10 == 0 {
+                1
+            } else {
+                rng.gen_range(2..40usize)
+            };
+            let edges: Vec<(u32, u32, f64)> = (0..rng.gen_range(0..3 * n))
+                .filter_map(|_| {
+                    let a = rng.gen_range(0..n) as u32;
+                    let b = rng.gen_range(0..n) as u32;
+                    let w = 1.0 / rng.gen_range(1..8u32) as f64;
+                    (a != b).then_some((a, b, w))
+                })
+                .collect();
+            let nbr = Csr::from_edges(n, &edges);
+            let anchor_w = match rng.gen_range(0..4u32) {
+                0 => 0.0,
+                1 => 1e-9,
+                _ => rng.gen_range(0.01..2.0),
+            };
+            let mut diag = vec![1e-6 + anchor_w; n];
+            for &(a, b, w) in &edges {
+                diag[a as usize] += w;
+                diag[b as usize] += w;
+            }
+            let mut b: Vec<[f64; 2]> = (0..n)
+                .map(|_| {
+                    let spring = if rng.gen_bool(0.3) {
+                        rng.gen_range(0.1..1.0)
+                    } else {
+                        0.0
+                    };
+                    [
+                        spring * rng.gen_range(-50.0..150.0),
+                        spring * rng.gen_range(-50.0..150.0),
+                    ]
+                })
+                .collect();
+            for (i, bi) in b.iter_mut().enumerate() {
+                if bi[0] != 0.0 || bi[1] != 0.0 {
+                    diag[i] += 0.5;
+                }
+            }
+            let mut v: Vec<[f64; 2]> = (0..n)
+                .map(|_| [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)])
+                .collect();
+            for i in 0..n {
+                for a in 0..2 {
+                    b[i][a] += anchor_w * v[i][a];
+                }
+            }
+            if case % 7 == 3 {
+                // one axis starts at its solution: v = 0 and b = 0 give
+                // r = 0 exactly, so rz = 0 before the first iteration
+                let a = rng.gen_range(0..2usize);
+                for i in 0..n {
+                    v[i][a] = 0.0;
+                    b[i][a] = 0.0;
+                }
+            }
+            let iters = match rng.gen_range(0..6u32) {
+                0 => 0,
+                1 => 200,
+                _ => rng.gen_range(1..60),
+            };
+
+            let mut want = [Vec::new(), Vec::new()];
+            let mut done = [0; 2];
+            for a in 0..2 {
+                let ba: Vec<f64> = b.iter().map(|p| p[a]).collect();
+                want[a] = v.iter().map(|p| p[a]).collect();
+                done[a] = cg_per_axis(
+                    &nbr,
+                    &diag,
+                    &ba,
+                    &mut want[a],
+                    iters,
+                    &mut r,
+                    &mut z,
+                    &mut dir,
+                    &mut ap,
+                );
+            }
+            cg(&nbr, &diag, &b, &mut v, iters, &mut work);
+            for a in 0..2 {
+                let got: Vec<u64> = v.iter().map(|p| p[a].to_bits()).collect();
+                let exp: Vec<u64> = want[a].iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, exp, "case {case}: axis {a}, n {n}, iters {iters}");
+            }
+            singles += usize::from(n == 1);
+            at_solution += usize::from(iters > 0 && done.contains(&0) && done != [0, 0]);
+            zero_iters += usize::from(iters == 0);
+            uneven += usize::from(done[0] != done[1]);
+        }
+        assert!(singles >= 100, "only {singles} n = 1 systems");
+        assert!(
+            at_solution >= 100,
+            "only {at_solution} systems with one axis stopped at once"
+        );
+        assert!(zero_iters >= 100, "only {zero_iters} cg_iters = 0 cases");
+        assert!(uneven >= 200, "only {uneven} systems with uneven axes");
     }
 }
